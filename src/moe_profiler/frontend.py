@@ -94,7 +94,8 @@ def frontend_forward(params, waveforms, cfg: ConvFrontendConfig):
     if isinstance(waveforms, Tensor):
         x = waveforms
     else:
-        x = Tensor(np.asarray(waveforms))
+        # in the parameters' dtype: a float64 batch would turn a float32 stack float64
+        x = Tensor(np.asarray(waveforms, dtype=params["frontend.conv0.w"].dtype))
     if x.ndim != 2:
         raise LengthError(f"expected a (batch, samples) array, got shape {x.shape}")
     cfg.out_frames(x.shape[1])  # validates length up front

@@ -21,30 +21,6 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
-    """One bias-corrected Adam update from explicit gradient buffers.
-
-    params maps name -> Tensor (updated in place); grads maps name ->
-    ndarray. Parameters without a gradient entry are left unchanged.
-    """
-    state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        p.data -= (state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)).astype(p.data.dtype)
-    return state
-
-
 class Adam:
     """Bias-corrected Adam; updates parameters in place from their .grad buffers."""
 
@@ -81,4 +57,4 @@ class Adam:
             v = st.v[name] = st.beta2 * st.v[name] + (1.0 - st.beta2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= (st.lr * m_hat / (np.sqrt(v_hat) + st.eps)).astype(p.data.dtype)
+            p.data -= st.lr * m_hat / (np.sqrt(v_hat) + st.eps)

@@ -66,7 +66,7 @@ def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=1600
             t_real = min(t_full, net.frames_for_samples(min(n, total), sample_rate))
             frame_mask[i, :t_real] = 1.0
     if net.cfg.feature_kind == "conv":
-        wavs = np.stack([s.waveform for s in samples]).astype(np.float32)
+        wavs = np.stack([s.waveform for s in samples])
         return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask, force_gate=force_gate)
     feats = np.stack(
         [featurize(net.cfg.feature_kind, Waveform(s.waveform, sample_rate)) for s in samples]

@@ -8,7 +8,9 @@ multi-loss graphs explicit.
 
 float32 is the working precision. Constructing a tensor from a float64 array
 keeps float64; the gradient-check tests rely on this to run the whole stack
-in double precision.
+in double precision. A gradient keeps the shape and dtype of the tensor it
+belongs to, so a float32 graph stays float32 through backward; ``backward()``
+raises ``ContractError`` naming the op when a vjp breaks this.
 """
 
 import numpy as np
@@ -281,13 +283,16 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU, computed in the input's dtype."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    data = (x.data * cdf).astype(x.data.dtype)
+    # numpy scalars are not weak under NEP 50: a float64 constant would
+    # promote a float32 graph to float64
+    dt = x.data.dtype.type
+    cdf = 0.5 * (1.0 + _erf(x.data * dt(_INV_SQRT2)))
+    data = x.data * cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        pdf = np.exp(-0.5 * x.data * x.data) * dt(_INV_SQRT2PI)
         return (g * (cdf + x.data * pdf),)
 
     return _make(data, (x,), vjp)
@@ -420,9 +425,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(f"layer_norm needs at least 2 features per row, got {d}")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # last-axis means as a BLAS matvec, faster than ndarray.mean on these shapes
+    avg = np.full((d, 1), 1.0 / d, dtype=x.data.dtype)
+    mu = x.data @ avg
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc) @ avg
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -431,8 +438,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
         dgain = _sum_to_shape(g * xhat, gain.shape)
         dbias = _sum_to_shape(g, bias.shape)
         dxh = g * gain.data
-        m1 = dxh.mean(axis=-1, keepdims=True)
-        m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxh @ avg
+        m2 = (dxh * xhat) @ avg
         dx = inv * (dxh - m1 - xhat * m2)
         return dx, dgain, dbias
 
@@ -467,11 +474,13 @@ def conv1d(x, w, b, stride):
     def vjp(g):
         gw2 = col.reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
         gb = g.sum(axis=(0, 1))
-        gcol = (g @ w2.T).reshape(bsz, tp, k, cin)
-        gx = np.zeros_like(x.data)
-        idx = stride * np.arange(tp)
-        for kk in range(k):
-            gx[:, idx + kk, :] += gcol[:, :, kk, :]
+        gx = None
+        if x.requires_grad:  # not for the waveform or a layer above frozen ones
+            gcol = (g @ w2.T).reshape(bsz, tp, k, cin)
+            gx = np.zeros_like(x.data)
+            span = stride * (tp - 1) + 1
+            for kk in range(k):
+                gx[:, kk:kk + span:stride, :] += gcol[:, :, kk, :]
         return gx, gw2.reshape(w.shape), gb
 
     return _make(data, (x, w, b), vjp)
@@ -535,6 +544,12 @@ def backward(loss):
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
+            if pg.shape != parent.data.shape or pg.dtype != parent.data.dtype:
+                op = node._vjp.__qualname__.rsplit(".<locals>.", 1)[0]
+                raise ContractError(
+                    f"{op} backward gave a {pg.dtype} gradient of shape {pg.shape} "
+                    f"for a {parent.data.dtype} input of shape {parent.data.shape}"
+                )
             key = id(parent)
             flow[key] = pg if key not in flow else flow[key] + pg
 

@@ -264,3 +264,19 @@ def test_end_to_end_gradients_sampled():
     worst, checked = e2e_grad_check(tol=1e-3, max_params=12)
     assert checked == 12
     assert worst < 1e-3
+
+
+@pytest.mark.parametrize("wav_dtype", [np.float32, np.float64])
+def test_float32_step_keeps_every_gradient_float32(wav_dtype):
+    net = SpeakerProfiler(tiny_config(), dtype=np.float32)
+    wav = (np.random.default_rng(5).normal(size=(2, 900)) * 0.3).astype(wav_dtype)
+    out = net.forward_waveforms(wav, training=True)
+    norm = NormStats(40.0, 10.0, 170.0, 8.0)
+    l_h, l_a, l_g = task_losses(out, [172.0, 160.0], [33.0, 51.0], [1.0, 0.3], norm)
+    loss = uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
+    zero_grads(net.parameters())
+    loss.backward()
+    dtypes = {name: p.grad.dtype for name, p in net.parameters().items()}
+    assert sum(name.startswith("frontend.") for name in dtypes) == 28
+    assert {"gate.w", "head_age.fc2.b", "loss.s_gender"} <= dtypes.keys()
+    assert {name for name, dt in dtypes.items() if dt != np.float32} == set()

@@ -3,7 +3,7 @@ import pytest
 
 from moe_profiler import tensor as T
 from moe_profiler.errors import NumericError
-from moe_profiler.optim import Adam, AdamState, adam_step
+from moe_profiler.optim import Adam
 from moe_profiler.tensor import Tensor
 
 
@@ -62,14 +62,3 @@ def test_frozen_params_excluded():
     opt = Adam({"p": p}, lr=0.1)
     assert "p" not in opt.params
 
-
-def test_functional_adam_step_matches_class():
-    p1 = Tensor(np.zeros(3), requires_grad=True)
-    p2 = Tensor(np.zeros(3), requires_grad=True)
-    g = np.array([1.0, -2.0, 0.5])
-    opt = Adam({"p": p1}, lr=1e-2)
-    p1.grad = g.copy()
-    opt.step()
-    state = adam_step({"p": p2}, {"p": g.copy()}, AdamState(lr=1e-2))
-    assert state.step == 1
-    assert np.allclose(p1.data, p2.data)

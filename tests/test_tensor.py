@@ -273,12 +273,26 @@ def _layer_norm(rng):
     return {"x": x, "g": g, "b": b}, lambda: T.sum_(T.mul(T.layer_norm(x, g, b), Tensor(w)))
 
 
-@op_case("conv1d")
-def _conv1d(rng):
-    x = t64(rng.normal(size=(2, 11, 3)))
-    w = t64(rng.normal(size=(4, 3, 5)) * 0.3)
-    b = t64(rng.normal(size=5))
-    return {"x": x, "w": w, "b": b}, lambda: T.sum_(T.mul(T.conv1d(x, w, b, 2), T.conv1d(x, w, b, 2)))
+def _conv1d_case(k, stride, t):
+    def case(rng):
+        x = t64(rng.normal(size=(2, t, 3)))
+        w = t64(rng.normal(size=(k, 3, 5)) * 0.3)
+        b = t64(rng.normal(size=5))
+        return {"x": x, "w": w, "b": b}, lambda: T.sum_(T.mul(T.conv1d(x, w, b, stride), T.conv1d(x, w, b, stride)))
+
+    return case
+
+
+# the frontend's kernel/stride pairs, plus kernel < stride (skipped samples);
+# each length leaves a tail of samples no window reaches
+for _name, _k, _s, _t in (
+    ("conv1d", 4, 2, 11),
+    ("conv1d_k10_s5", 10, 5, 27),
+    ("conv1d_k3_s2", 3, 2, 12),
+    ("conv1d_k2_s2", 2, 2, 9),
+    ("conv1d_k2_s3", 2, 3, 11),
+):
+    op_case(_name)(_conv1d_case(_k, _s, _t))
 
 
 @op_case("dropout")
@@ -307,6 +321,40 @@ def run_all_op_gradchecks():
         params, build = case(rng)
         worst = max(worst, check_op_grads(build, params, tol=1e-4))
     return worst
+
+
+def test_conv1d_without_input_grad_matches_full_path(rng):
+    x, w, b = rng.normal(size=(2, 17, 3)), rng.normal(size=(3, 3, 4)), rng.normal(size=4)
+    grads = []
+    for x_grad in (True, False):
+        xt, wt, bt = t64(x, grad=x_grad), t64(w), t64(b)
+        y = T.conv1d(xt, wt, bt, 2)
+        T.sum_(T.mul(y, y)).backward()
+        grads.append((xt.grad, wt.grad, bt.grad))
+    (gx_full, gw_full, gb_full), (gx, gw, gb) = grads
+    assert gx_full is not None and gx is None
+    assert np.array_equal(gw, gw_full)
+    assert np.array_equal(gb, gb_full)
+
+
+def _bad_op(x, grad_of):
+    def vjp(g):
+        return (grad_of(g),)
+
+    return T._make(x.data * 2.0, (x,), vjp)
+
+
+@pytest.mark.parametrize(
+    "grad_of",
+    [lambda g: (2.0 * g).astype(np.float64), lambda g: 2.0 * g[:1]],
+    ids=["float64_grad", "wrong_shape_grad"],
+)
+def test_backward_rejects_gradient_unlike_its_input(grad_of):
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    loss = T.sum_(_bad_op(x, grad_of))
+    with pytest.raises(ContractError, match="_bad_op"):
+        loss.backward()
+    assert x.grad is None
 
 
 def test_float32_default_and_float64_kept():
