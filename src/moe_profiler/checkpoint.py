@@ -4,6 +4,7 @@ Little-endian throughout; tensor payloads are raw row-major floats so that
 save -> load round-trips bitwise. Loading rejects unknown versions.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,31 +33,41 @@ class Checkpoint:
 
 
 def save_checkpoint(path, cfg: TrainConfig, norm: NormStats, tensors: dict, best_epoch=0):
-    """Write config, normalization stats and named tensors to one file."""
+    """Write config, normalization stats and named tensors to one file.
+
+    The bytes go to a temporary file beside path, renamed over path only once
+    complete, so a save that fails part-way leaves an earlier checkpoint intact.
+    """
     path = Path(path)
     cfg_text = cfg.to_text().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(cfg_text)))
-        f.write(cfg_text)
-        f.write(struct.pack("<dddd", norm.age_mean, norm.age_std, norm.height_mean, norm.height_std))
-        f.write(struct.pack("<I", int(best_epoch)))
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = tensors[name]
-            if isinstance(arr, Tensor):
-                arr = arr.data
-            arr = np.asarray(arr)
-            code = _CODES_BY_KIND.get(arr.dtype)
-            if code is None:
-                raise ConfigError(f"tensor '{name}' has unsupported dtype {arr.dtype}")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<BB", code, arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<I", len(cfg_text)))
+            f.write(cfg_text)
+            f.write(struct.pack("<dddd", norm.age_mean, norm.age_std, norm.height_mean, norm.height_std))
+            f.write(struct.pack("<I", int(best_epoch)))
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = tensors[name]
+                if isinstance(arr, Tensor):
+                    arr = arr.data
+                arr = np.asarray(arr)
+                code = _CODES_BY_KIND.get(arr.dtype)
+                if code is None:
+                    raise ConfigError(f"tensor '{name}' has unsupported dtype {arr.dtype}")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<BB", code, arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f, n, what):

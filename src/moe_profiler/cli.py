@@ -54,12 +54,13 @@ def _load_run_config(path, overrides, seed=None):
     return cfg, Path(corpus_root), Path(out_dir)
 
 
-def _records_for_split(records, split, seed):
+def _records_for_split(records, split, cfg):
+    """The records of one split, with train/val rebuilt as the checkpoint's run split them."""
     if split == "test":
         chosen = [r for r in records if r.split == "test"]
     else:
         train_all = [r for r in records if r.split == "train"]
-        train, val = split_train_val(train_all, seed)
+        train, val = split_train_val(train_all, cfg.seed, cfg.val_fraction)
         chosen = val if split == "val" else train
     if not chosen:
         raise DataError(f"no records in split '{split}'")
@@ -94,8 +95,8 @@ def cmd_evaluate(args):
     ck = load_checkpoint(args.checkpoint)
     net = restore_model(ck)
     records = scan_corpus(args.corpus)
-    chosen = _records_for_split(records, args.split, ck.cfg.seed)
-    report = evaluation.evaluate(net, ck.norm, chosen, workers=args.workers)
+    chosen = _records_for_split(records, args.split, ck.cfg)
+    report = evaluation.evaluate(net, ck.norm, chosen)
     print(report.to_text(), end="")
     out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"eval_{args.split}.csv"
     out.write_text(report.to_csv())
@@ -109,8 +110,8 @@ def cmd_analyze_phones(args):
     ck = load_checkpoint(args.checkpoint)
     net = restore_model(ck)
     records = scan_corpus(args.corpus)
-    chosen = _records_for_split(records, "test", ck.cfg.seed)
-    table = evaluation.phoneme_importance(net, ck.norm, chosen, workers=args.workers)
+    chosen = _records_for_split(records, "test", ck.cfg)
+    table = evaluation.phoneme_importance(net, ck.norm, chosen)
     print(table.to_text(), end="")
     out = Path(args.out) if args.out else Path(args.checkpoint).parent / "phone_importance.csv"
     out.write_text(table.to_csv())
@@ -158,14 +159,12 @@ def build_parser():
     e.add_argument("--corpus", required=True)
     e.add_argument("--split", choices=("train", "val", "test"), default="test")
     e.add_argument("--out", default=None)
-    e.add_argument("--workers", type=int, default=1)
     e.set_defaults(fn=cmd_evaluate)
 
     a = sub.add_parser("analyze-phones", help="phone-class masking analysis on the test split")
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--corpus", required=True)
     a.add_argument("--out", default=None)
-    a.add_argument("--workers", type=int, default=1)
     a.set_defaults(fn=cmd_analyze_phones)
 
     f = sub.add_parser("features", help="dump fbank/mfcc features as CSV")

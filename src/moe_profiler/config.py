@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.num_frozen_layers < 0:
             raise ConfigError(f"num_frozen_layers must be >= 0, got {self.num_frozen_layers}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
     def to_text(self):
         lines = []

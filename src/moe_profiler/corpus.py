@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .phones import parse_phn  # noqa: F401  (re-exported for callers)
 
 log = logging.getLogger("moe_profiler.corpus")
 
@@ -172,12 +171,12 @@ def scan_corpus(root_dir) -> list:
     return records
 
 
-def split_train_val(records, seed) -> tuple:
-    """Move floor(15%) of train records into a validation split, seeded."""
+def split_train_val(records, seed, fraction) -> tuple:
+    """Move floor(fraction * n) of train records into a validation split, seeded."""
     records = list(records)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
-    n_val = int(len(records) * 0.15)
+    n_val = int(len(records) * fraction)
     val_idx = set(order[:n_val].tolist())
     train, val = [], []
     for i, r in enumerate(records):

@@ -19,7 +19,7 @@ def _labels(records):
     return ages, heights, genders
 
 
-def evaluate(net, norm, records, wave_cache=None, workers=1, waveform_override=None) -> EvalReport:
+def evaluate(net, norm, records, wave_cache=None, waveform_override=None) -> EvalReport:
     """Forward all records through the network and build a per-gender report.
 
     Regression metrics are de-normalized (years / cm) and grouped by the true
@@ -30,7 +30,7 @@ def evaluate(net, norm, records, wave_cache=None, workers=1, waveform_override=N
         raise DataError("no records to evaluate")
     ages_t, heights_t, genders_t = _labels(records)
     ages_p, heights_p, genders_p = predict_records(
-        net, norm, records, wave_cache=wave_cache, workers=workers, waveform_override=waveform_override
+        net, norm, records, wave_cache=wave_cache, waveform_override=waveform_override
     )
     return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
 
@@ -44,7 +44,7 @@ def constant_mean_report(norm, records) -> EvalReport:
     return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
 
 
-def phoneme_importance(net, norm, records, workers=1) -> ImportanceTable:
+def phoneme_importance(net, norm, records) -> ImportanceTable:
     """Percentage RMSE change per masked phone class, against unmasked audio.
 
     Records without a readable transcription are excluded with a warning.
@@ -61,14 +61,14 @@ def phoneme_importance(net, norm, records, workers=1) -> ImportanceTable:
     if not usable:
         raise DataError("no records with transcriptions to analyze")
 
-    base = evaluate(net, norm, usable, wave_cache=cache, workers=workers)
+    base = evaluate(net, norm, usable, wave_cache=cache)
     rows = {}
     for cls in TABLE_ORDER:
         def masked_wave(record, _cls=cls):
             wave = cache.get(record.utterance_path)
             return mask_phone_class(wave, transcriptions[str(record.utterance_path)], _cls)
 
-        masked = evaluate(net, norm, usable, wave_cache=cache, workers=workers, waveform_override=masked_wave)
+        masked = evaluate(net, norm, usable, wave_cache=cache, waveform_override=masked_wave)
         rows[cls] = (
             pct_change(masked.height_rmse_male, base.height_rmse_male),
             pct_change(masked.height_rmse_female, base.height_rmse_female),

@@ -46,13 +46,6 @@ class ConvFrontendConfig:
     def out_dim(self):
         return self.layers[-1].channels
 
-    @property
-    def frame_shift_s(self):
-        stride = 1
-        for l in self.layers:
-            stride *= l.stride
-        return stride / 16000.0
-
     def receptive_field(self):
         """Input samples feeding one output frame (also the minimum input length)."""
         r = 1

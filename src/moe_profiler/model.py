@@ -12,26 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
+from .dsp import FEATURE_DIMS, num_frames
 from .errors import ConfigError, LengthError, ShapeError
 from .frontend import ConvFrontendConfig, frontend_forward, init_frontend_params
 from . import tensor as T
 from .tensor import Tensor
-
-
-@dataclass
-class ExpertConfig:
-    """Shape of one transformer-encoder expert."""
-
-    num_layers: int = 6
-    num_heads: int = 8
-    model_dim: int = 128
-    ff_dim: int = 256
-    dropout_p: float = 0.2
-    use_positional_encoding: bool = True
-
-    def __post_init__(self):
-        if self.model_dim % self.num_heads != 0:
-            raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
 
 
 @dataclass
@@ -119,14 +104,6 @@ class SpeakerProfiler:
     def __init__(self, cfg: TrainConfig, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.expert_cfg = ExpertConfig(
-            num_layers=cfg.num_layers,
-            num_heads=cfg.num_heads,
-            model_dim=cfg.model_dim,
-            ff_dim=cfg.ff_dim,
-            dropout_p=cfg.dropout_p,
-            use_positional_encoding=cfg.use_positional_encoding,
-        )
         self.conv_cfg = None
         if cfg.feature_kind == "conv":
             self.conv_cfg = ConvFrontendConfig.default(cfg.conv_channels, cfg.num_frozen_layers)
@@ -138,11 +115,13 @@ class SpeakerProfiler:
     # -- construction -------------------------------------------------------
 
     def input_dim(self):
-        if self.cfg.feature_kind == "fbank":
-            return 240
-        if self.cfg.feature_kind == "mfcc":
-            return 48
-        return self.conv_cfg.out_dim
+        if self.conv_cfg is not None:
+            return self.conv_cfg.out_dim
+        return FEATURE_DIMS[self.cfg.feature_kind]
+
+    def _expert_prefixes(self):
+        """Parameter prefixes of the expert encoders: one per gender, or one shared."""
+        return ("expert_m", "expert_f") if self.cfg.mode == "bi_encoder" else ("expert",)
 
     def _add_linear(self, rng, name, din, dout):
         self.params[f"{name}.w"] = Tensor(_linear_init(rng, din, dout, self.dtype), requires_grad=True)
@@ -153,7 +132,7 @@ class SpeakerProfiler:
         self.params[f"{name}.bias"] = Tensor(np.zeros(d, dtype=self.dtype), requires_grad=True)
 
     def _build_expert(self, rng, prefix):
-        c = self.expert_cfg
+        c = self.cfg
         self._add_linear(rng, f"{prefix}.proj", self.input_dim(), c.model_dim)
         for l in range(c.num_layers):
             base = f"{prefix}.enc.l{l}"
@@ -164,19 +143,16 @@ class SpeakerProfiler:
             self._add_linear(rng, f"{base}.ff.fc1", c.model_dim, c.ff_dim)
             self._add_linear(rng, f"{base}.ff.fc2", c.ff_dim, c.model_dim)
         self._add_ln(rng, f"{prefix}.enc.lnf", c.model_dim)
-        self._add_linear(rng, f"{prefix}.fc", 2 * c.model_dim, self.cfg.expert_dim)
+        self._add_linear(rng, f"{prefix}.fc", 2 * c.model_dim, c.expert_dim)
 
     def _build(self, rng):
         cfg = self.cfg
         if self.conv_cfg is not None:
             init_frontend_params(self.conv_cfg, rng, self.params, self.dtype)
-        if cfg.mode == "bi_encoder":
-            self._build_expert(rng, "expert_m")
-            self._build_expert(rng, "expert_f")
-            self._add_linear(rng, "gate", 2 * cfg.expert_dim, 1)
-        else:
-            self._build_expert(rng, "expert")
-            self._add_linear(rng, "gate", cfg.expert_dim, 1)
+        prefixes = self._expert_prefixes()
+        for prefix in prefixes:
+            self._build_expert(rng, prefix)
+        self._add_linear(rng, "gate", len(prefixes) * cfg.expert_dim, 1)
         for task in ("age", "height"):
             self._add_linear(rng, f"head_{task}.fc1", cfg.expert_dim, cfg.head_hidden)
             self._add_linear(rng, f"head_{task}.fc2", cfg.head_hidden, 1)
@@ -195,8 +171,8 @@ class SpeakerProfiler:
     # -- forward ------------------------------------------------------------
 
     def _drop(self, x, training):
-        if training and self.expert_cfg.dropout_p > 0.0:
-            return T.dropout(x, self.expert_cfg.dropout_p, self._droprng)
+        if training and self.cfg.dropout_p > 0.0:
+            return T.dropout(x, self.cfg.dropout_p, self._droprng)
         return x
 
     def _lin(self, x, name):
@@ -205,10 +181,9 @@ class SpeakerProfiler:
     def _ln(self, x, name):
         return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _mha(self, x, base, training):
-        c = self.expert_cfg
+    def _mha(self, x, base):
         b, t, d = x.shape
-        h = c.num_heads
+        h = self.cfg.num_heads
         dk = d // h
 
         def split(v):
@@ -225,12 +200,11 @@ class SpeakerProfiler:
 
     def transformer_encoder(self, x, prefix, training=False):
         """Pre-norm self-attention stack; preserves (B, T, model_dim)."""
-        c = self.expert_cfg
         if x.shape[1] == 0:
             raise LengthError("encoder needs at least one frame")
-        for l in range(c.num_layers):
+        for l in range(self.cfg.num_layers):
             base = f"{prefix}.enc.l{l}"
-            att = self._mha(self._ln(x, f"{base}.ln1"), f"{base}.attn", training)
+            att = self._mha(self._ln(x, f"{base}.ln1"), f"{base}.attn")
             x = T.add(x, self._drop(att, training))
             ff = self._lin(T.relu(self._lin(self._ln(x, f"{base}.ln2"), f"{base}.ff.fc1")), f"{base}.ff.fc2")
             x = T.add(x, self._drop(ff, training))
@@ -238,10 +212,9 @@ class SpeakerProfiler:
 
     def expert_forward(self, x, prefix, training=False, frame_mask=None):
         """Encoder -> statistical pooling -> dropout -> FC expert view (B, E)."""
-        c = self.expert_cfg
         proj = self._lin(x, f"{prefix}.proj")
-        if c.use_positional_encoding:
-            pe = sinusoidal_positions(proj.shape[1], c.model_dim, dtype=proj.data.dtype)
+        if self.cfg.use_positional_encoding:
+            pe = sinusoidal_positions(proj.shape[1], self.cfg.model_dim, dtype=proj.data.dtype)
             proj = T.add(proj, Tensor(pe[None, :, :]))
         enc = self.transformer_encoder(proj, prefix, training)
         pooled = statistical_pooling(enc, frame_mask)
@@ -259,37 +232,29 @@ class SpeakerProfiler:
         if x.shape[1] < 1:
             raise LengthError("empty feature sequence")
         b = x.shape[0]
-        if self.cfg.mode == "bi_encoder":
-            e_m = self.expert_forward(x, "expert_m", training, frame_mask)
-            e_f = self.expert_forward(x, "expert_f", training, frame_mask)
-            if force_gate is None:
-                g = gate_predict(e_m, e_f, self.params["gate.w"], self.params["gate.b"])
-            else:
-                g = Tensor(np.full((b, 1), float(force_gate), dtype=x.data.dtype))
-            e = combine_experts(e_m, e_f, g)
+        views = [self.expert_forward(x, prefix, training, frame_mask) for prefix in self._expert_prefixes()]
+        if force_gate is not None:
+            g = Tensor(np.full((b, 1), float(force_gate), dtype=x.data.dtype))
+        elif len(views) == 2:
+            g = gate_predict(*views, self.params["gate.w"], self.params["gate.b"])
         else:
-            e = self.expert_forward(x, "expert", training, frame_mask)
-            if force_gate is None:
-                g = T.clip(T.sigmoid(self._lin(e, "gate")), GATE_EPS, 1.0 - GATE_EPS)
-            else:
-                g = Tensor(np.full((b, 1), float(force_gate), dtype=x.data.dtype))
+            g = T.clip(T.sigmoid(self._lin(views[0], "gate")), GATE_EPS, 1.0 - GATE_EPS)
+        e = combine_experts(*views, g) if len(views) == 2 else views[0]
         return ModelOutput(
             age_z=self._head(e, "age"),
             height_z=self._head(e, "height"),
             gender_p=T.reshape(g, (b,)),
         )
 
-    def forward_waveforms(self, waveforms, training=False, frame_mask=None, force_gate=None) -> ModelOutput:
+    def forward_waveforms(self, waveforms, training=False, frame_mask=None) -> ModelOutput:
         """Run (B, N) raw waveforms through the conv frontend, then the network."""
         if self.conv_cfg is None:
             raise ConfigError(f"feature_kind '{self.cfg.feature_kind}' does not take raw waveforms")
         feats = frontend_forward(self.params, waveforms, self.conv_cfg)
-        return self.forward_features(feats, training, frame_mask, force_gate)
+        return self.forward_features(feats, training, frame_mask)
 
     def frames_for_samples(self, n_samples, sample_rate=16000):
         """Frame count the feature pipeline will produce for a given length."""
         if self.conv_cfg is not None:
             return self.conv_cfg.out_frames(n_samples)
-        from .dsp import num_frames
-
         return num_frames(n_samples, sample_rate)

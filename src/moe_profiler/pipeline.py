@@ -1,7 +1,5 @@
 """Shared plumbing between training and evaluation: features and batching."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .audio import Waveform, read_audio
@@ -51,7 +49,7 @@ def align_samples(samples):
     return aligned, orig_lens
 
 
-def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=16000, force_gate=None):
+def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=16000):
     """Stack aligned samples and run the network once.
 
     orig_lens enables alignment masking: pooling then ignores frames that
@@ -67,14 +65,14 @@ def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=1600
             frame_mask[i, :t_real] = 1.0
     if net.cfg.feature_kind == "conv":
         wavs = np.stack([s.waveform for s in samples])
-        return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask, force_gate=force_gate)
+        return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask)
     feats = np.stack(
         [featurize(net.cfg.feature_kind, Waveform(s.waveform, sample_rate)) for s in samples]
     ).astype(np.float32)
-    return net.forward_features(feats, training=training, frame_mask=frame_mask, force_gate=force_gate)
+    return net.forward_features(feats, training=training, frame_mask=frame_mask)
 
 
-def predict_records(net, norm, records, wave_cache=None, workers=1, waveform_override=None):
+def predict_records(net, norm, records, wave_cache=None, waveform_override=None):
     """Forward each record individually (eval mode); returns prediction arrays.
 
     waveform_override maps record -> Waveform and is how phone masking feeds
@@ -92,12 +90,7 @@ def predict_records(net, norm, records, wave_cache=None, workers=1, waveform_ove
             float(out.gender_p.data[0]),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, records))
-    else:
-        results = [one(r) for r in records]
-
+    results = [one(r) for r in records]
     ages_pred = np.array([r[0] for r in results])
     heights_pred = np.array([r[1] for r in results])
     genders_pred = np.array([r[2] for r in results])

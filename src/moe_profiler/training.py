@@ -66,12 +66,40 @@ def _losses_to_row(epoch, split, sums, count, net):
     return EpochRow(epoch, split, float(total), lh, la, lg, s_h, s_a, s_g)
 
 
-def _batch_losses(net, norm, samples, training, orig_lens=None):
-    out = batch_forward(net, samples, training=training, orig_lens=orig_lens)
-    heights = [s.height_cm for s in samples]
-    ages = [s.age_years for s in samples]
-    genders = [s.gender for s in samples]
-    return task_losses(out, heights, ages, genders, norm)
+def _run_epoch(net, norm, cfg, records, cache, epoch, opt=None, mix_rng=None) -> EpochRow:
+    """One pass over records, logged as a 'train' row when given an optimizer, else 'val'.
+
+    A training pass applies dropout and Adam steps, and mixup when given
+    mix_rng; it shuffles with the epoch as salt, a val pass always with 0.
+    """
+    training = opt is not None
+    sums = [0.0, 0.0, 0.0]
+    count = 0
+    for batch_i, batch in enumerate(iter_batches(records, cfg.batch_size, cfg.seed, epoch if training else 0)):
+        samples = [record_sample(r, cache.get(r.utterance_path)) for r in batch]
+        samples, orig_lens = align_samples(samples)
+        if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
+            perm = mix_rng.permutation(len(samples))
+            lams = mix_rng.random(len(samples))
+            samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
+            orig_lens = None  # tiled content is now part of the mixed signal
+        lens = orig_lens if cfg.alignment_masking else None
+        out = batch_forward(net, samples, training=training, orig_lens=lens)
+        losses = task_losses(
+            out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples], norm
+        )
+        if training:
+            total = uncertainty_loss(*losses, *net.log_vars())
+            if not np.isfinite(total.data):
+                raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_i}")
+            opt.zero_grad()
+            total.backward()
+            opt.step()
+        w = len(samples)
+        # a comprehension: a loop variable would keep this batch's graph alive through the next backward
+        sums = [acc + float(loss.data) * w for acc, loss in zip(sums, losses)]
+        count += w
+    return _losses_to_row(epoch, "train" if training else "val", sums, count, net)
 
 
 def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
@@ -82,8 +110,8 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     """
     train_recs = [r for r in records if r.split == "train"]
     val_recs = [r for r in records if r.split == "val"]
-    if not val_recs and cfg.val_fraction > 0:
-        train_recs, val_recs = split_train_val(train_recs, cfg.seed)
+    if not val_recs:
+        train_recs, val_recs = split_train_val(train_recs, cfg.seed, cfg.val_fraction)
     if not train_recs:
         raise DataError("no training records")
     genders = {r.gender for r in train_recs}
@@ -93,9 +121,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     norm = NormStats.fit(train_recs)
     net = SpeakerProfiler(cfg)
     opt = Adam(net.parameters(), lr=cfg.lr)
-    mix_rng = np.random.default_rng([cfg.seed, 7919])
+    use_mixup = cfg.mixup_enabled and cfg.feature_kind == "conv"  # mixup mixes raw waveforms
+    mix_rng = np.random.default_rng([cfg.seed, 7919]) if use_mixup else None
     cache = WaveCache()
-    use_mixup = cfg.mixup_enabled and cfg.feature_kind == "conv"
 
     log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
              len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind)
@@ -107,47 +135,10 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        sums = [0.0, 0.0, 0.0]
-        count = 0
-        for batch_i, batch in enumerate(iter_batches(train_recs, cfg.batch_size, cfg.seed, epoch)):
-            samples = [record_sample(r, cache.get(r.utterance_path)) for r in batch]
-            samples, orig_lens = align_samples(samples)
-            if use_mixup and len(samples) > 1 and mix_rng.random() < 0.5:
-                perm = mix_rng.permutation(len(samples))
-                lams = mix_rng.random(len(samples))
-                samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
-                orig_lens = None  # tiled content is now part of the mixed signal
-            lens = orig_lens if cfg.alignment_masking else None
-            l_h, l_a, l_g = _batch_losses(net, norm, samples, training=True, orig_lens=lens)
-            total = uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
-            if not np.isfinite(total.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_i}")
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            w = len(samples)
-            sums[0] += float(l_h.data) * w
-            sums[1] += float(l_a.data) * w
-            sums[2] += float(l_g.data) * w
-            count += w
-        rows.append(_losses_to_row(epoch, "train", sums, count, net))
-
-        monitor = rows[-1].l_total
+        rows.append(_run_epoch(net, norm, cfg, train_recs, cache, epoch, opt, mix_rng))
         if val_recs:
-            vsums = [0.0, 0.0, 0.0]
-            vcount = 0
-            for batch in iter_batches(val_recs, cfg.batch_size, cfg.seed, 0):
-                samples = [record_sample(r, cache.get(r.utterance_path)) for r in batch]
-                samples, orig_lens = align_samples(samples)
-                lens = orig_lens if cfg.alignment_masking else None
-                l_h, l_a, l_g = _batch_losses(net, norm, samples, training=False, orig_lens=lens)
-                w = len(samples)
-                vsums[0] += float(l_h.data) * w
-                vsums[1] += float(l_a.data) * w
-                vsums[2] += float(l_g.data) * w
-                vcount += w
-            rows.append(_losses_to_row(epoch, "val", vsums, vcount, net))
-            monitor = rows[-1].l_total
+            rows.append(_run_epoch(net, norm, cfg, val_recs, cache, epoch))
+        monitor = rows[-1].l_total
 
         if monitor < best_loss:
             best_loss = monitor

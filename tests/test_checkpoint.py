@@ -75,3 +75,20 @@ def test_restore_rejects_mismatched_tensors(tmp_path):
     save_checkpoint(path, cfg, NORM, tensors)
     with pytest.raises(ConfigError, match="gate.w"):
         restore_model(load_checkpoint(path))
+
+
+def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
+    cfg = tiny_config()
+    net = SpeakerProfiler(cfg)
+    path = tmp_path / "ck.bemx"
+    save_checkpoint(path, cfg, NORM, net.parameters())
+    good = path.read_bytes()
+    tensors = dict(net.parameters())
+    tensors["zz.int"] = np.zeros(3, dtype=np.int32)  # sorts last: raises after the other tensors are written
+    with pytest.raises(ConfigError, match="int32"):
+        save_checkpoint(path, cfg, NORM, tensors)
+    assert path.read_bytes() == good
+    ck = load_checkpoint(path)
+    for name, p in net.parameters().items():
+        assert ck.tensors[name].tobytes() == p.data.tobytes(), name
+    assert list(tmp_path.iterdir()) == [path]

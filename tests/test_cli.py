@@ -161,6 +161,17 @@ class TestEvaluateCmd:
         test_text = capsys.readouterr().out
         assert val_text.splitlines()[0] != test_text.splitlines()[0]
 
+    def test_train_split_without_val_fraction_keeps_every_record(self, trained, tmp_path, capsys):
+        corpus, _ = trained
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.txt", corpus, out_dir, max_epochs=1, val_fraction=0)
+        assert run("train", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", out_dir / "checkpoint.bemx", "--corpus", corpus, "--split", "train") == 0
+        wavs = list((corpus / "TRAIN").rglob("*.WAV"))
+        n_male = sum(w.parent.name.startswith("M") for w in wavs)
+        assert capsys.readouterr().out.splitlines()[0] == f"records: {n_male} male / {len(wavs) - n_male} female"
+
     def test_missing_checkpoint_exit_2(self, trained, tmp_path):
         corpus, _ = trained
         assert run("evaluate", "--checkpoint", tmp_path / "nope.bemx", "--corpus", corpus) == 2

@@ -97,22 +97,22 @@ def fake_records(n):
 
 class TestSplit:
     def test_100_gives_85_15(self):
-        train, val = split_train_val(fake_records(100), seed=0)
+        train, val = split_train_val(fake_records(100), seed=0, fraction=0.15)
         assert (len(train), len(val)) == (85, 15)
         assert all(r.split == "val" for r in val)
 
     def test_7_gives_6_1(self):
-        train, val = split_train_val(fake_records(7), seed=0)
+        train, val = split_train_val(fake_records(7), seed=0, fraction=0.15)
         assert (len(train), len(val)) == (6, 1)
 
     def test_deterministic(self):
-        a = split_train_val(fake_records(40), seed=9)
-        b = split_train_val(fake_records(40), seed=9)
+        a = split_train_val(fake_records(40), seed=9, fraction=0.15)
+        b = split_train_val(fake_records(40), seed=9, fraction=0.15)
         assert [r.utterance_path for r in a[1]] == [r.utterance_path for r in b[1]]
 
     def test_different_seeds_differ(self):
-        a = split_train_val(fake_records(40), seed=1)[1]
-        b = split_train_val(fake_records(40), seed=2)[1]
+        a = split_train_val(fake_records(40), seed=1, fraction=0.15)[1]
+        b = split_train_val(fake_records(40), seed=2, fraction=0.15)[1]
         assert [r.utterance_path for r in a] != [r.utterance_path for r in b]
 
 

@@ -102,13 +102,6 @@ class TestEvaluate:
             assert np.isfinite(getattr(rep, f))
         assert 0.0 <= rep.gender_accuracy <= 1.0
 
-    def test_workers_match_sequential(self, trained16, corpus16_records_module):
-        net, result = trained16
-        test_recs = [r for r in corpus16_records_module if r.split == "test"]
-        a = evaluate(net, result.norm, test_recs, workers=1)
-        b = evaluate(net, result.norm, test_recs, workers=3)
-        assert a.to_csv() == b.to_csv()
-
     def test_constant_baseline_uses_train_means(self, trained16, corpus16_records_module):
         _, result = trained16
         test_recs = [r for r in corpus16_records_module if r.split == "test"]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from moe_profiler.errors import DataError
+from moe_profiler.corpus import iter_batches, scan_corpus, split_train_val
+from moe_profiler.errors import ConfigError, DataError
+from moe_profiler.losses import task_losses
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
+from moe_profiler.pipeline import WaveCache, align_samples, batch_forward, record_sample
 from moe_profiler.training import train
 
 from .conftest import tiny_config
@@ -67,8 +70,6 @@ def test_classic_feature_kinds_train(corpus4_records, kind):
 
 
 def test_val_split_used_when_enough_records(corpus16, caplog):
-    from moe_profiler.corpus import scan_corpus
-
     records = scan_corpus(corpus16)
     cfg = tiny_config(max_epochs=2, batch_size=8)
     result = train(cfg, records)
@@ -100,3 +101,45 @@ def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
     t_full = net.frames_for_samples(total)
     for n in orig_lens:
         assert net.frames_for_samples(n) <= t_full
+
+
+def test_val_fraction_sets_val_split_size(corpus16):
+    records = scan_corpus(corpus16)
+    n_train = sum(r.split == "train" for r in records)
+    result = train(tiny_config(max_epochs=1, batch_size=8, val_fraction=0.3), records)
+    assert result.val_report.n_male + result.val_report.n_female == int(0.3 * n_train)
+
+
+@pytest.mark.parametrize("fraction", [1.0, -0.1])
+def test_val_fraction_outside_unit_interval_rejected(fraction):
+    with pytest.raises(ConfigError, match="val_fraction"):
+        tiny_config(val_fraction=fraction)
+
+
+def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
+    # the logged val losses must be a plain eval-mode pass over the val split
+    # in iter_batches' epoch-0 order, with the parameters the epoch ended on
+    records = scan_corpus(corpus16)
+    # seed 4: epoch 1's shuffle batches the 3 val records differently from epoch 0's,
+    # and the mixup draws would mix a val batch
+    cfg = tiny_config(max_epochs=1, batch_size=2, mixup_enabled=True, dropout_p=0.3, val_fraction=0.3, seed=4)
+    result = train(cfg, records)
+    val_row = next(r for r in result.log_rows if r.split == "val")
+
+    net = SpeakerProfiler(cfg)
+    for name, p in net.parameters().items():
+        p.data = result.best_params[name].copy()
+    _, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
+    cache = WaveCache()
+    sums, count = [0.0, 0.0, 0.0], 0
+    for batch in iter_batches(val_recs, cfg.batch_size, cfg.seed, 0):
+        samples, _ = align_samples([record_sample(r, cache.get(r.utterance_path)) for r in batch])
+        out = batch_forward(net, samples, training=False)
+        losses = task_losses(
+            out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples],
+            result.norm,
+        )
+        for i, loss in enumerate(losses):
+            sums[i] += float(loss.data) * len(samples)
+        count += len(samples)
+    assert (val_row.l_height, val_row.l_age, val_row.l_gender) == tuple(v / count for v in sums)
