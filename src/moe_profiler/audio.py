@@ -28,10 +28,6 @@ class Waveform:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_s(self):
-        return self.samples.size / self.sample_rate
-
 
 def read_audio(path) -> Waveform:
     """Read a mono 16-bit PCM file; dispatches on the RIFF/NIST header."""

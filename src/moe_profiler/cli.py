@@ -1,7 +1,8 @@
 """Command-line interface: train, evaluate, analyze-phones, features, synth.
 
-Exit codes: 0 success, 1 configuration error, 2 data/format error,
-3 numeric abort. Verbosity comes from MOE_PROFILER_LOG (error|info|debug).
+Exit codes: 0 success, 1 configuration error, 2 data, format, shape, length
+or contract error or an unreadable file, 3 numeric abort. Verbosity comes
+from MOE_PROFILER_LOG (error|info|debug).
 """
 
 import argparse
@@ -12,13 +13,16 @@ from pathlib import Path
 
 from .config import config_from_items, parse_config_text
 from .corpus import scan_corpus, split_train_val
-from .errors import ConfigError, DataError, FormatError, LengthError, NumericError, ProfilerError
+from .errors import ConfigError, DataError, NumericError, ProfilerError
 from . import evaluation
 from .synth import synth_corpus
 
 log = logging.getLogger("moe_profiler")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+# exit code per error kind; every other ProfilerError or OSError exits 2
+EXIT_CODES = {ConfigError: 1, NumericError: 3}
 
 
 def _setup_logging():
@@ -190,22 +194,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ProfilerError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, FormatError, LengthError, FileNotFoundError, OSError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ProfilerError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

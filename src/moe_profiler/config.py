@@ -12,6 +12,20 @@ MODES = ("bi_encoder", "single_encoder")
 # frontend, 1e-5 for fbank/mfcc
 DEFAULT_LR = {"conv": 1e-6, "fbank": 1e-5, "mfcc": 1e-5}
 
+# smallest allowed value of each integer size and count; layer norm needs two
+# features, so the conv channels and the encoder width start at two
+MIN_VALUES = {
+    "batch_size": 1,
+    "num_frozen_layers": 0,
+    "model_dim": 2,
+    "num_layers": 0,
+    "num_heads": 1,
+    "ff_dim": 1,
+    "expert_dim": 1,
+    "head_hidden": 1,
+    "conv_channels": 2,
+}
+
 
 @dataclass
 class TrainConfig:
@@ -47,14 +61,13 @@ class TrainConfig:
             self.lr = DEFAULT_LR[self.feature_kind]
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key, low in MIN_VALUES.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.num_frozen_layers < 0:
-            raise ConfigError(f"num_frozen_layers must be >= 0, got {self.num_frozen_layers}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 

@@ -45,10 +45,6 @@ class FeatureSequence:
     def num_frames(self):
         return self.frames.shape[0]
 
-    @property
-    def dim(self):
-        return self.frames.shape[1]
-
 
 def num_frames(n_samples, sample_rate, frame_len_s=FRAME_LEN_S, frame_shift_s=FRAME_SHIFT_S):
     """Frame count 1 + floor((N - L) / S); raises if the signal is shorter than one frame."""

@@ -4,10 +4,11 @@ import logging
 
 import numpy as np
 
+from .audio import read_audio
 from .errors import DataError, FormatError
 from .metrics import EvalReport, ImportanceTable, build_report, pct_change
 from .phones import TABLE_ORDER, mask_phone_class, parse_phn
-from .pipeline import WaveCache, predict_records
+from .pipeline import predict_records
 
 log = logging.getLogger("moe_profiler.evaluation")
 
@@ -19,9 +20,10 @@ def _labels(records):
     return ages, heights, genders
 
 
-def evaluate(net, norm, records, wave_cache=None, waveform_override=None) -> EvalReport:
+def evaluate(net, norm, records, waves=None) -> EvalReport:
     """Forward all records through the network and build a per-gender report.
 
+    waves optionally gives one Waveform per record (see predict_records).
     Regression metrics are de-normalized (years / cm) and grouped by the true
     gender label; gating always uses the predicted gender. Gender accuracy
     thresholds the prediction at 0.5.
@@ -29,9 +31,7 @@ def evaluate(net, norm, records, wave_cache=None, waveform_override=None) -> Eva
     if not records:
         raise DataError("no records to evaluate")
     ages_t, heights_t, genders_t = _labels(records)
-    ages_p, heights_p, genders_p = predict_records(
-        net, norm, records, wave_cache=wave_cache, waveform_override=waveform_override
-    )
+    ages_p, heights_p, genders_p = predict_records(net, norm, records, waves)
     return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
 
 
@@ -49,26 +49,24 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
 
     Records without a readable transcription are excluded with a warning.
     """
-    cache = WaveCache()
     usable = []
-    transcriptions = {}
+    transcriptions = []
     for r in records:
         try:
-            transcriptions[str(r.utterance_path)] = parse_phn(r.phn_path)
+            transcriptions.append(parse_phn(r.phn_path))
             usable.append(r)
         except (OSError, FormatError) as exc:
             log.warning("%s: unusable transcription (%s); excluded", r.utterance_path, exc)
     if not usable:
         raise DataError("no records with transcriptions to analyze")
 
-    base = evaluate(net, norm, usable, wave_cache=cache)
+    waves = [read_audio(r.utterance_path) for r in usable]
+    base = evaluate(net, norm, usable, waves)
     rows = {}
     for cls in TABLE_ORDER:
-        def masked_wave(record, _cls=cls):
-            wave = cache.get(record.utterance_path)
-            return mask_phone_class(wave, transcriptions[str(record.utterance_path)], _cls)
-
-        masked = evaluate(net, norm, usable, wave_cache=cache, waveform_override=masked_wave)
+        # a generator, so one masked copy is alive at a time
+        masked_waves = (mask_phone_class(w, t, cls) for w, t in zip(waves, transcriptions))
+        masked = evaluate(net, norm, usable, masked_waves)
         rows[cls] = (
             pct_change(masked.height_rmse_male, base.height_rmse_male),
             pct_change(masked.height_rmse_female, base.height_rmse_female),

@@ -80,11 +80,12 @@ def combine_experts(e_m, e_f, g):
 GATE_EPS = 1e-7
 
 
-def gate_predict(e_m, e_f, w, b):
-    """Gender gate g = sigmoid(FC(concat(e_m, e_f))); (B, 1) strictly in (0, 1)."""
-    if e_m.shape != e_f.shape:
-        raise ShapeError(f"expert views disagree in shape: {e_m.shape} vs {e_f.shape}")
-    z = T.add(T.matmul(T.concat([e_m, e_f], axis=1), w), b)
+def gate_predict(views, w, b):
+    """Gender gate g = sigmoid(FC(concat(views))); (B, 1) strictly in (0, 1).
+
+    views lists the expert views, (e_m, e_f) or the single encoder's one.
+    """
+    z = T.add(T.matmul(T.concat(views, axis=1), w), b)
     return T.clip(T.sigmoid(z), GATE_EPS, 1.0 - GATE_EPS)
 
 
@@ -235,10 +236,8 @@ class SpeakerProfiler:
         views = [self.expert_forward(x, prefix, training, frame_mask) for prefix in self._expert_prefixes()]
         if force_gate is not None:
             g = Tensor(np.full((b, 1), float(force_gate), dtype=x.data.dtype))
-        elif len(views) == 2:
-            g = gate_predict(*views, self.params["gate.w"], self.params["gate.b"])
         else:
-            g = T.clip(T.sigmoid(self._lin(views[0], "gate")), GATE_EPS, 1.0 - GATE_EPS)
+            g = gate_predict(views, self.params["gate.w"], self.params["gate.b"])
         e = combine_experts(*views, g) if len(views) == 2 else views[0]
         return ModelOutput(
             age_z=self._head(e, "age"),

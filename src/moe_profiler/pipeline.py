@@ -17,19 +17,6 @@ def featurize(kind, waveform: Waveform) -> np.ndarray:
     raise ConfigError(f"no frame features for kind '{kind}'")
 
 
-class WaveCache:
-    """Read-once waveform cache keyed by path."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def get(self, path) -> Waveform:
-        key = str(path)
-        if key not in self._cache:
-            self._cache[key] = read_audio(path)
-        return self._cache[key]
-
-
 def record_sample(record, wave: Waveform) -> LabeledSample:
     return LabeledSample(
         waveform=wave.samples,
@@ -66,31 +53,29 @@ def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=1600
     if net.cfg.feature_kind == "conv":
         wavs = np.stack([s.waveform for s in samples])
         return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask)
-    feats = np.stack(
-        [featurize(net.cfg.feature_kind, Waveform(s.waveform, sample_rate)) for s in samples]
-    ).astype(np.float32)
+    feats = np.stack([featurize(net.cfg.feature_kind, Waveform(s.waveform, sample_rate)) for s in samples])
     return net.forward_features(feats, training=training, frame_mask=frame_mask)
 
 
-def predict_records(net, norm, records, wave_cache=None, waveform_override=None):
+def predict_records(net, norm, records, waves=None):
     """Forward each record individually (eval mode); returns prediction arrays.
 
-    waveform_override maps record -> Waveform and is how phone masking feeds
-    altered audio through the same path.
+    waves holds one Waveform per record, in record order (phone masking passes
+    altered audio this way); when omitted, each record's audio is read as it
+    is reached. A waves of another length than records raises ValueError.
     """
-    wave_cache = wave_cache or WaveCache()
-
-    def one(record):
-        wave = waveform_override(record) if waveform_override else wave_cache.get(record.utterance_path)
-        sample = record_sample(record, wave)
-        out = batch_forward(net, [sample], training=False, sample_rate=wave.sample_rate)
-        return (
-            float(norm.de_age(out.age_z.data[0])),
-            float(norm.de_height(out.height_z.data[0])),
-            float(out.gender_p.data[0]),
+    if waves is None:
+        waves = (read_audio(r.utterance_path) for r in records)
+    results = []
+    for record, wave in zip(records, waves, strict=True):
+        out = batch_forward(net, [record_sample(record, wave)], training=False, sample_rate=wave.sample_rate)
+        results.append(
+            (
+                float(norm.de_age(out.age_z.data[0])),
+                float(norm.de_height(out.height_z.data[0])),
+                float(out.gender_p.data[0]),
+            )
         )
-
-    results = [one(r) for r in records]
     ages_pred = np.array([r[0] for r in results])
     heights_pred = np.array([r[1] for r in results])
     genders_pred = np.array([r[2] for r in results])

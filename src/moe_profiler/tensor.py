@@ -127,19 +127,6 @@ def mul(a, b):
     return _make(data, (a, b), vjp)
 
 
-def div(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = _sum_to_shape(g / b.data, a.shape)
-        gb = _sum_to_shape(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), vjp)
-
-
 def neg(x):
     x = _as_tensor(x)
 
@@ -147,18 +134,6 @@ def neg(x):
         return (-g,)
 
     return _make(-x.data, (x,), vjp)
-
-
-def power(x, p):
-    """Elementwise x**p for a scalar exponent p."""
-    x = _as_tensor(x)
-    p = float(p)
-    data = x.data ** p
-
-    def vjp(g):
-        return (g * p * x.data ** (p - 1.0),)
-
-    return _make(data, (x,), vjp)
 
 
 def exp(x):

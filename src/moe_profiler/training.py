@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import read_audio
 from .config import TrainConfig
 from .corpus import iter_batches, split_train_val
 from .errors import DataError, NumericError
@@ -19,7 +20,7 @@ from .losses import mixup, task_losses, uncertainty_loss
 from .metrics import NormStats
 from .model import SpeakerProfiler
 from .optim import Adam
-from .pipeline import WaveCache, align_samples, batch_forward, record_sample
+from .pipeline import align_samples, batch_forward, record_sample
 from . import evaluation
 
 log = logging.getLogger("moe_profiler.training")
@@ -66,17 +67,18 @@ def _losses_to_row(epoch, split, sums, count, net):
     return EpochRow(epoch, split, float(total), lh, la, lg, s_h, s_a, s_g)
 
 
-def _run_epoch(net, norm, cfg, records, cache, epoch, opt=None, mix_rng=None) -> EpochRow:
-    """One pass over records, logged as a 'train' row when given an optimizer, else 'val'.
+def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
+    """One pass over data, logged as a 'train' row when given an optimizer, else 'val'.
 
-    A training pass applies dropout and Adam steps, and mixup when given
-    mix_rng; it shuffles with the epoch as salt, a val pass always with 0.
+    data holds (record, waveform) pairs. A training pass applies dropout and
+    Adam steps, and mixup when given mix_rng; it shuffles with the epoch as
+    salt, a val pass always with 0.
     """
     training = opt is not None
     sums = [0.0, 0.0, 0.0]
     count = 0
-    for batch_i, batch in enumerate(iter_batches(records, cfg.batch_size, cfg.seed, epoch if training else 0)):
-        samples = [record_sample(r, cache.get(r.utterance_path)) for r in batch]
+    for batch_i, batch in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch if training else 0)):
+        samples = [record_sample(r, wave) for r, wave in batch]
         samples, orig_lens = align_samples(samples)
         if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
             perm = mix_rng.permutation(len(samples))
@@ -123,7 +125,8 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     opt = Adam(net.parameters(), lr=cfg.lr)
     use_mixup = cfg.mixup_enabled and cfg.feature_kind == "conv"  # mixup mixes raw waveforms
     mix_rng = np.random.default_rng([cfg.seed, 7919]) if use_mixup else None
-    cache = WaveCache()
+    train_data = [(r, read_audio(r.utterance_path)) for r in train_recs]
+    val_data = [(r, read_audio(r.utterance_path)) for r in val_recs]
 
     log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
              len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind)
@@ -135,9 +138,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        rows.append(_run_epoch(net, norm, cfg, train_recs, cache, epoch, opt, mix_rng))
-        if val_recs:
-            rows.append(_run_epoch(net, norm, cfg, val_recs, cache, epoch))
+        rows.append(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
+        if val_data:
+            rows.append(_run_epoch(net, norm, cfg, val_data, epoch))
         monitor = rows[-1].l_total
 
         if monitor < best_loss:
@@ -157,7 +160,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
 
     result = TrainResult(cfg=cfg, norm=norm, best_params=best_params, best_epoch=best_epoch, log_rows=rows)
     if val_recs:
-        result.val_report = evaluation.evaluate(net, norm, val_recs, wave_cache=cache)
+        result.val_report = evaluation.evaluate(net, norm, val_recs, [wave for _, wave in val_data])
 
     if out_dir is not None:
         from .checkpoint import save_checkpoint

@@ -182,7 +182,7 @@ def test_criterion_04_mixture_and_gating(rng):
             w = Tensor(rng.normal(size=(8, 1)) * scale)
             b = Tensor(rng.normal(size=1))
             for _ in range(50):
-                g = gate_predict(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4))), w, b).data
+                g = gate_predict([Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))], w, b).data
                 assert np.all(g > 0.0) and np.all(g < 1.0)
 
 

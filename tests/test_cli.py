@@ -6,7 +6,9 @@ import pytest
 
 from moe_profiler.audio import write_wav
 from moe_profiler.checkpoint import load_checkpoint
+from moe_profiler import training
 from moe_profiler.cli import main
+from moe_profiler.errors import NumericError
 
 from .helpers import tone_wave
 
@@ -113,6 +115,18 @@ class TestTrainCmd:
         cfg.write_text(cfg.read_text() + "learninng_rate=3\n")
         assert run("train", "--config", cfg) == 1
         assert "learninng_rate" in capsys.readouterr().err
+
+    def test_impossible_override_exit_1_names_key(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "num_heads=0") == 1
+        assert "num_heads" in capsys.readouterr().err
+
+    def test_numeric_abort_exit_3(self, corpus4, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite training loss at epoch 1, batch 0")
+
+        monkeypatch.setattr(training, "train", diverge)
+        assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")) == 3
 
     def test_override_changes_config(self, corpus4, tmp_path):
         out_dir = tmp_path / "run"

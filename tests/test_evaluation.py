@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from moe_profiler import audio, evaluation, pipeline
+from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
 from moe_profiler.metrics import build_report, mae, pct_change, rmse
 from moe_profiler.model import SpeakerProfiler
+from moe_profiler.pipeline import predict_records
 from moe_profiler.phones import TABLE_ORDER, PhoneClass
 from moe_profiler.training import train
 
@@ -109,6 +112,25 @@ class TestEvaluate:
         ages = np.array([r.age_years for r in test_recs], dtype=np.float64)
         assert rep.age_rmse_all == pytest.approx(rmse(np.full(len(ages), result.norm.age_mean), ages))
 
+    def test_given_waves_equal_read_waves(self, trained16, corpus16_records_module):
+        net, result = trained16
+        recs = corpus16_records_module[:4]
+        waves = [read_audio(r.utterance_path) for r in recs]
+        read = predict_records(net, result.norm, recs)
+        for given in (waves, iter(waves)):
+            for got, want in zip(predict_records(net, result.norm, recs, given), read):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_waves", [3, 5])
+    def test_waves_of_wrong_length_raise(self, trained16, corpus16_records_module, n_waves):
+        net, result = trained16
+        recs = corpus16_records_module[:4]
+        waves = [read_audio(r.utterance_path) for r in corpus16_records_module[:n_waves]]
+        with pytest.raises(ValueError):
+            predict_records(net, result.norm, recs, waves)
+        with pytest.raises(ValueError):
+            evaluate(net, result.norm, recs, iter(waves))
+
 
 class TestImportance:
     def test_rows_cover_table_order(self, trained16, corpus16_records_module):
@@ -119,6 +141,20 @@ class TestImportance:
         csv = table.to_csv().strip().split("\n")
         assert len(csv) == 8
         assert [line.split(",")[0] for line in csv[1:]] == [c.value for c in TABLE_ORDER]
+
+    def test_reads_each_file_once(self, trained16, corpus16_records_module, monkeypatch):
+        net, result = trained16
+        test_recs = [r for r in corpus16_records_module if r.split == "test"]
+        reads = []
+
+        def counting_read(path):
+            reads.append(str(path))
+            return read_audio(path)
+
+        for module in (audio, evaluation, pipeline):
+            monkeypatch.setattr(module, "read_audio", counting_read)
+        phoneme_importance(net, result.norm, test_recs)
+        assert sorted(reads) == sorted(str(r.utterance_path) for r in test_recs)
 
     def test_absent_classes_zero_change(self, trained16, corpus16_records_module):
         net, result = trained16

@@ -6,6 +6,7 @@ from moe_profiler.errors import ShapeError
 from moe_profiler.losses import task_losses, uncertainty_loss
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import (
+    GATE_EPS,
     SpeakerProfiler,
     combine_experts,
     gate_predict,
@@ -82,20 +83,37 @@ class TestCombine:
 class TestGate:
     def test_zero_weights_give_half(self):
         e = Tensor(np.ones((3, 4)))
-        g = gate_predict(e, e, Tensor(np.zeros((8, 1))), Tensor(np.zeros(1)))
+        g = gate_predict([e, e], Tensor(np.zeros((8, 1))), Tensor(np.zeros(1)))
         assert np.allclose(g.data, 0.5)
 
     def test_open_interval(self, rng):
         w = Tensor(rng.normal(size=(8, 1)) * 10)
         b = Tensor(rng.normal(size=1))
         for _ in range(100):
-            g = gate_predict(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4))), w, b).data
+            g = gate_predict([Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))], w, b).data
             assert np.all(g > 0.0) and np.all(g < 1.0)
 
     def test_saturation_towards_female(self):
         e = Tensor(np.ones((1, 2)))
-        g = gate_predict(e, e, Tensor(np.full((4, 1), 50.0)), Tensor(np.zeros(1)))
+        g = gate_predict([e, e], Tensor(np.full((4, 1), 50.0)), Tensor(np.zeros(1)))
         assert g.data[0, 0] > 0.999999
+
+    def test_single_view_is_a_plain_linear_gate(self, rng):
+        # a one-view concat is a copy: same gate and gradients as FC(view) itself, bitwise
+        v = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 1)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=1).astype(np.float32), requires_grad=True)
+        results = []
+        for gate in (
+            lambda: gate_predict([v], w, b),
+            lambda: T.clip(T.sigmoid(T.add(T.matmul(v, w), b)), GATE_EPS, 1.0 - GATE_EPS),
+        ):
+            zero_grads([v, w, b])
+            g = gate()
+            T.sum_(g).backward()
+            results.append([g.data] + [t.grad.copy() for t in (v, w, b)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestEncoder:

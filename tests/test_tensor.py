@@ -152,23 +152,10 @@ def _mul(rng):
     return {"a": a, "b": b}, lambda: T.sum_(T.mul(a, b))
 
 
-@op_case("div")
-def _div(rng):
-    a = t64(rng.normal(size=(3, 3)))
-    b = t64(rng.uniform(0.5, 2.0, size=(3, 3)))
-    return {"a": a, "b": b}, lambda: T.sum_(T.div(a, b))
-
-
 @op_case("neg")
 def _neg(rng):
     a = t64(rng.normal(size=(4,)))
     return {"a": a}, lambda: T.sum_(T.mul(T.neg(a), a))
-
-
-@op_case("power")
-def _pow(rng):
-    a = t64(rng.uniform(0.5, 2.0, size=(3, 4)))
-    return {"a": a}, lambda: T.sum_(T.power(a, 3.0))
 
 
 @op_case("exp")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from moe_profiler.audio import Waveform, read_audio
 from moe_profiler.corpus import iter_batches, scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError
 from moe_profiler.losses import task_losses
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import WaveCache, align_samples, batch_forward, record_sample
+from moe_profiler.pipeline import align_samples, batch_forward, featurize, record_sample
 from moe_profiler.training import train
 
 from .conftest import tiny_config
@@ -81,11 +82,8 @@ def test_val_split_used_when_enough_records(corpus16, caplog):
 def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
     # masking applies to pooling only: the shorter item's pooled stats drop
     # the tiled frames (prediction changes), the longest item is unaffected
-    from moe_profiler.pipeline import WaveCache, align_samples, batch_forward, record_sample
-
     net = SpeakerProfiler(tiny_config(alignment_masking=True))
-    cache = WaveCache()
-    samples = [record_sample(r, cache.get(r.utterance_path)) for r in corpus4_records[:2]]
+    samples = [record_sample(r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
     assert len(samples[0].waveform) != len(samples[1].waveform)
     shorter = 0 if len(samples[0].waveform) < len(samples[1].waveform) else 1
     aligned, orig_lens = align_samples(samples)
@@ -116,6 +114,22 @@ def test_val_fraction_outside_unit_interval_rejected(fraction):
         tiny_config(val_fraction=fraction)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("model_dim", 0), ("model_dim", 1), ("num_heads", 0), ("ff_dim", 0), ("expert_dim", 0), ("head_hidden", 0),
+     ("num_layers", -1), ("conv_channels", 1)],
+)
+def test_impossible_model_shape_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tiny_config(**{key: value})
+
+
+def test_smallest_model_shape_runs(corpus4_records):
+    cfg = tiny_config(model_dim=2, num_heads=1, ff_dim=1, expert_dim=1, head_hidden=1, num_layers=0, conv_channels=2)
+    samples, _ = align_samples([record_sample(r, read_audio(r.utterance_path)) for r in corpus4_records[:2]])
+    assert np.all(np.isfinite(batch_forward(SpeakerProfiler(cfg), samples).age_z.data))
+
+
 def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
     # the logged val losses must be a plain eval-mode pass over the val split
     # in iter_batches' epoch-0 order, with the parameters the epoch ended on
@@ -130,10 +144,9 @@ def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
     for name, p in net.parameters().items():
         p.data = result.best_params[name].copy()
     _, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
-    cache = WaveCache()
     sums, count = [0.0, 0.0, 0.0], 0
     for batch in iter_batches(val_recs, cfg.batch_size, cfg.seed, 0):
-        samples, _ = align_samples([record_sample(r, cache.get(r.utterance_path)) for r in batch])
+        samples, _ = align_samples([record_sample(r, read_audio(r.utterance_path)) for r in batch])
         out = batch_forward(net, samples, training=False)
         losses = task_losses(
             out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples],
@@ -143,3 +156,17 @@ def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
             sums[i] += float(loss.data) * len(samples)
         count += len(samples)
     assert (val_row.l_height, val_row.l_age, val_row.l_gender) == tuple(v / count for v in sums)
+
+
+def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
+    # the stacked features reach a float64 model unrounded, as waveforms reach a conv model
+    net = SpeakerProfiler(tiny_config(feature_kind="fbank"), dtype=np.float64)
+    waves = [read_audio(r.utterance_path) for r in corpus4_records[:2]]
+    samples, _ = align_samples([record_sample(r, w) for r, w in zip(corpus4_records[:2], waves)])
+    feats = np.stack([featurize("fbank", Waveform(s.waveform, waves[0].sample_rate)) for s in samples])
+    assert feats.dtype == np.float64
+    got = batch_forward(net, samples)
+    want = net.forward_features(feats)
+    for field in ("age_z", "height_z", "gender_p"):
+        assert getattr(got, field).data.dtype == np.float64
+        assert np.array_equal(getattr(got, field).data, getattr(want, field).data), field
