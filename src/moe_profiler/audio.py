@@ -9,6 +9,8 @@ import numpy as np
 from .errors import FormatError
 
 INT16_SCALE = 32768.0
+# wav2vec 2.0's input rate: the conv frontend and the model's fbank/mfcc framing are sized for it
+SAMPLE_RATE = 16000
 
 
 @dataclass
@@ -85,15 +87,15 @@ def _read_sphere(path) -> Waveform:
             if len(parts) == 3:
                 fields[parts[0]] = parts[2]
 
-        nch = int(fields.get("channel_count", "1"))
+        nch = _header_int(path, fields, "channel_count", "1")
         if nch != 1:
             raise FormatError(f"{path}: expected mono audio, got {nch} channels")
-        sample_bytes = int(fields.get("sample_n_bytes", "2"))
+        sample_bytes = _header_int(path, fields, "sample_n_bytes", "2")
         coding = fields.get("sample_coding", "pcm")
         if sample_bytes != 2 or not coding.startswith("pcm"):
             raise FormatError(f"{path}: unsupported SPHERE encoding (header {header[:32]!r})")
-        rate = int(fields["sample_rate"])
-        count = int(fields["sample_count"])
+        rate = _header_int(path, fields, "sample_rate")
+        count = _header_int(path, fields, "sample_count")
         byte_fmt = fields.get("sample_byte_format", "01")
         dtype = ">i2" if byte_fmt == "10" else "<i2"
 
@@ -103,6 +105,13 @@ def _read_sphere(path) -> Waveform:
         raise FormatError(f"{path}: truncated SPHERE data ({len(raw)} bytes for {count} samples)")
     samples = np.frombuffer(raw, dtype=dtype).astype(np.float64) / INT16_SCALE
     return Waveform(samples, rate)
+
+
+def _header_int(path, fields, key, default=None):
+    try:
+        return int(fields.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: SPHERE header field {key} is missing or not an integer") from exc
 
 
 def write_wav(path, samples, sample_rate):

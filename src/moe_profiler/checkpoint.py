@@ -77,6 +77,13 @@ def _read_exact(f, n, what):
     return data
 
 
+def _read_text(f, n, what, path):
+    try:
+        return _read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8 ({exc})") from exc
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as f:
@@ -86,7 +93,7 @@ def load_checkpoint(path) -> Checkpoint:
         if version != FORMAT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint format version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        cfg_text = _read_exact(f, cfg_len, "config").decode("utf-8")
+        cfg_text = _read_text(f, cfg_len, "config", path)
         cfg = config_from_items(parse_config_text(cfg_text))
         norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats")))
         (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch"))
@@ -94,7 +101,7 @@ def load_checkpoint(path) -> Checkpoint:
         tensors = {}
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            name = _read_text(f, name_len, "tensor name", path)
             code, ndim = struct.unpack("<BB", _read_exact(f, 2, "tensor header"))
             if code not in _DTYPE_CODES:
                 raise FormatError(f"{path}: unknown dtype code {code} for tensor '{name}'")

@@ -15,6 +15,7 @@ DEFAULT_LR = {"conv": 1e-6, "fbank": 1e-5, "mfcc": 1e-5}
 # smallest allowed value of each integer size and count; layer norm needs two
 # features, so the conv channels and the encoder width start at two
 MIN_VALUES = {
+    "max_epochs": 1,
     "batch_size": 1,
     "num_frozen_layers": 0,
     "model_dim": 2,

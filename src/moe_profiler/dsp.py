@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct as _dct
 
-from .audio import Waveform
+from .audio import SAMPLE_RATE, Waveform
 from .errors import LengthError, ShapeError
 
 FRAME_LEN_S = 0.025
@@ -46,35 +46,28 @@ class FeatureSequence:
         return self.frames.shape[0]
 
 
-def num_frames(n_samples, sample_rate, frame_len_s=FRAME_LEN_S, frame_shift_s=FRAME_SHIFT_S):
+def num_frames(n_samples, sample_rate):
     """Frame count 1 + floor((N - L) / S); raises if the signal is shorter than one frame."""
-    flen = int(round(frame_len_s * sample_rate))
-    fshift = int(round(frame_shift_s * sample_rate))
+    flen = int(round(FRAME_LEN_S * sample_rate))
+    fshift = int(round(FRAME_SHIFT_S * sample_rate))
     if n_samples < flen:
         raise LengthError(f"signal of {n_samples} samples is shorter than one frame ({flen} samples minimum)")
     return 1 + (n_samples - flen) // fshift
 
 
-def _frame_array(x, sample_rate, frame_len_s, frame_shift_s, window=True):
-    flen = int(round(frame_len_s * sample_rate))
-    fshift = int(round(frame_shift_s * sample_rate))
-    t = num_frames(len(x), sample_rate, frame_len_s, frame_shift_s)
-    idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
-    frames = x[idx]
-    if window:
-        frames = frames * np.hamming(flen)
-    return frames
-
-
-def frame_signal(w: Waveform, frame_len_s=FRAME_LEN_S, frame_shift_s=FRAME_SHIFT_S):
+def frame_signal(w: Waveform):
     """Split a waveform into overlapping Hamming-windowed frames (T x L)."""
-    return _frame_array(w.samples, w.sample_rate, frame_len_s, frame_shift_s)
+    flen = int(round(FRAME_LEN_S * w.sample_rate))
+    fshift = int(round(FRAME_SHIFT_S * w.sample_rate))
+    t = num_frames(len(w), w.sample_rate)
+    idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
+    return w.samples[idx] * np.hamming(flen)
 
 
-def pre_emphasis(x, coeff=PREEMPH):
+def pre_emphasis(x):
     y = np.empty_like(x)
     y[0] = x[0]
-    y[1:] = x[1:] - coeff * x[:-1]
+    y[1:] = x[1:] - PREEMPH * x[:-1]
     return y
 
 
@@ -86,14 +79,12 @@ def hz_from_mel(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=16000, fmin=0.0, fmax=None):
-    """Triangular mel filters evaluated on FFT bin center frequencies.
+def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=SAMPLE_RATE):
+    """Triangular mel filters from 0 Hz to Nyquist, evaluated on FFT bin center frequencies.
 
     Returns an (n_mels, nfft//2 + 1) weight matrix.
     """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = hz_from_mel(np.linspace(mel_from_hz(fmin), mel_from_hz(fmax), n_mels + 2))
+    edges = hz_from_mel(np.linspace(mel_from_hz(0.0), mel_from_hz(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
     weights = np.zeros((n_mels, nfft // 2 + 1))
     for j in range(n_mels):
@@ -105,24 +96,16 @@ def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=16000, fmin=0.0, fmax=N
 
 
 def _log_mel(w: Waveform):
-    x = pre_emphasis(w.samples)
-    frames = _frame_array(x, w.sample_rate, FRAME_LEN_S, FRAME_SHIFT_S)
+    frames = frame_signal(Waveform(pre_emphasis(w.samples), w.sample_rate))
     power = np.abs(np.fft.rfft(frames, NFFT, axis=1)) ** 2
     mel = mel_filterbank(N_MELS, NFFT, w.sample_rate)
     energies = power @ mel.T
     return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def delta(features, order=1):
-    """Regression deltas with a +/-2 window and edge replication.
-
-    order=2 is the delta of the order-1 output.
-    """
+def delta(features):
+    """First-order regression deltas with a +/-2 window and edge replication."""
     features = np.asarray(features)
-    if order < 1:
-        raise ShapeError(f"delta order must be >= 1, got {order}")
-    if order > 1:
-        return delta(delta(features, order - 1), 1)
     t = features.shape[0]
     p = np.pad(features, ((2, 2), (0, 0)), mode="edge")
     num = (p[3 : 3 + t] - p[1 : 1 + t]) + 2.0 * (p[4 : 4 + t] - p[0:t])
@@ -130,7 +113,8 @@ def delta(features, order=1):
 
 
 def _with_deltas(static):
-    return np.concatenate([static, delta(static, 1), delta(static, 2)], axis=1)
+    d1 = delta(static)
+    return np.concatenate([static, d1, delta(d1)], axis=1)
 
 
 def fbank(w: Waveform) -> FeatureSequence:

@@ -61,8 +61,6 @@ class NormStats:
         return np.asarray(z, dtype=np.float64) * self.height_std + self.height_mean
 
 
-GENDER_NAMES = ("male", "female")
-
 _REPORT_FIELDS = (
     "height_rmse_male", "height_rmse_female",
     "height_mae_male", "height_mae_female",

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import SAMPLE_RATE
 from .config import TrainConfig
 from .dsp import FEATURE_DIMS, num_frames
 from .errors import ConfigError, LengthError, ShapeError
@@ -252,8 +253,8 @@ class SpeakerProfiler:
         feats = frontend_forward(self.params, waveforms, self.conv_cfg)
         return self.forward_features(feats, training, frame_mask)
 
-    def frames_for_samples(self, n_samples, sample_rate=16000):
-        """Frame count the feature pipeline will produce for a given length."""
+    def frames_for_samples(self, n_samples):
+        """Frame count the feature pipeline will produce for a given length at SAMPLE_RATE."""
         if self.conv_cfg is not None:
             return self.conv_cfg.out_frames(n_samples)
-        return num_frames(n_samples, sample_rate)
+        return num_frames(n_samples, SAMPLE_RATE)

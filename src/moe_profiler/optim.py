@@ -7,6 +7,10 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -15,25 +19,18 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 class Adam:
     """Bias-corrected Adam; updates parameters in place from their .grad buffers."""
 
-    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = {n: p for n, p in params.items() if isinstance(p, Tensor) and p.requires_grad}
+        self.lr = lr
         self.state = AdamState(
             step=0,
             m={n: np.zeros_like(p.data) for n, p in self.params.items()},
             v={n: np.zeros_like(p.data) for n, p in self.params.items()},
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
     def zero_grad(self):
@@ -43,8 +40,8 @@ class Adam:
     def step(self):
         st = self.state
         st.step += 1
-        bc1 = 1.0 - st.beta1 ** st.step
-        bc2 = 1.0 - st.beta2 ** st.step
+        bc1 = 1.0 - BETA1 ** st.step
+        bc2 = 1.0 - BETA2 ** st.step
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -53,8 +50,8 @@ class Adam:
                 raise NumericError(f"gradient shape {g.shape} does not match parameter '{name}' {p.data.shape}")
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = st.m[name] = st.beta1 * st.m[name] + (1.0 - st.beta1) * g
-            v = st.v[name] = st.beta2 * st.v[name] + (1.0 - st.beta2) * (g * g)
+            m = st.m[name] = BETA1 * st.m[name] + (1.0 - BETA1) * g
+            v = st.v[name] = BETA2 * st.v[name] + (1.0 - BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= st.lr * m_hat / (np.sqrt(v_hat) + st.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from .audio import Waveform, read_audio
+from .audio import SAMPLE_RATE, Waveform, read_audio
 from .dsp import cmvn, fbank, mfcc
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .losses import LabeledSample, tile_to
 
 
@@ -18,6 +18,9 @@ def featurize(kind, waveform: Waveform) -> np.ndarray:
 
 
 def record_sample(record, wave: Waveform) -> LabeledSample:
+    """A record's labels with its audio; the one gate where audio reaches the model."""
+    if wave.sample_rate != SAMPLE_RATE:
+        raise FormatError(f"{record.utterance_path}: sample rate {wave.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
     return LabeledSample(
         waveform=wave.samples,
         height_cm=record.height_cm,
@@ -36,8 +39,8 @@ def align_samples(samples):
     return aligned, orig_lens
 
 
-def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=16000):
-    """Stack aligned samples and run the network once.
+def batch_forward(net, samples, training=False, orig_lens=None):
+    """Stack aligned samples (audio at SAMPLE_RATE) and run the network once.
 
     orig_lens enables alignment masking: pooling then ignores frames that
     exist only because of tiling.
@@ -45,15 +48,15 @@ def batch_forward(net, samples, training=False, orig_lens=None, sample_rate=1600
     frame_mask = None
     if orig_lens is not None:
         total = len(samples[0].waveform)
-        t_full = net.frames_for_samples(total, sample_rate)
+        t_full = net.frames_for_samples(total)
         frame_mask = np.zeros((len(samples), t_full), dtype=np.float64)
         for i, n in enumerate(orig_lens):
-            t_real = min(t_full, net.frames_for_samples(min(n, total), sample_rate))
+            t_real = min(t_full, net.frames_for_samples(min(n, total)))
             frame_mask[i, :t_real] = 1.0
     if net.cfg.feature_kind == "conv":
         wavs = np.stack([s.waveform for s in samples])
         return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask)
-    feats = np.stack([featurize(net.cfg.feature_kind, Waveform(s.waveform, sample_rate)) for s in samples])
+    feats = np.stack([featurize(net.cfg.feature_kind, Waveform(s.waveform, SAMPLE_RATE)) for s in samples])
     return net.forward_features(feats, training=training, frame_mask=frame_mask)
 
 
@@ -68,7 +71,7 @@ def predict_records(net, norm, records, waves=None):
         waves = (read_audio(r.utterance_path) for r in records)
     results = []
     for record, wave in zip(records, waves, strict=True):
-        out = batch_forward(net, [record_sample(record, wave)], training=False, sample_rate=wave.sample_rate)
+        out = batch_forward(net, [record_sample(record, wave)], training=False)
         results.append(
             (
                 float(norm.de_age(out.age_z.data[0])),

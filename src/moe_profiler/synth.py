@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import write_wav
+from .audio import SAMPLE_RATE, write_wav
 from .errors import ConfigError
 
 log = logging.getLogger("moe_profiler.synth")
 
-SAMPLE_RATE = 16000
 MALE_F0 = (105.0, 140.0)
 FEMALE_F0 = (190.0, 225.0)
 AGE_RANGE = (21, 76)

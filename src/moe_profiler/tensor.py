@@ -19,6 +19,7 @@ from scipy.special import erf as _erf
 from .errors import ContractError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+LN_EPS = 1e-5
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -28,11 +29,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
@@ -326,10 +325,10 @@ def softmax_rows(x):
     return _make(s, (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Per-row (last axis) normalization to zero mean/unit variance, then affine.
 
-    Uses the population variance with eps inside the square root.
+    Uses the population variance with LN_EPS inside the square root.
     """
     x = _as_tensor(x)
     gain = _as_tensor(gain, x)
@@ -344,7 +343,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     mu = x.data @ avg
     xc = x.data - mu
     var = (xc * xc) @ avg
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 

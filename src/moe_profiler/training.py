@@ -70,7 +70,7 @@ def _losses_to_row(epoch, split, sums, count, net):
 def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
     """One pass over data, logged as a 'train' row when given an optimizer, else 'val'.
 
-    data holds (record, waveform) pairs. A training pass applies dropout and
+    data holds LabeledSamples. A training pass applies dropout and
     Adam steps, and mixup when given mix_rng; it shuffles with the epoch as
     salt, a val pass always with 0.
     """
@@ -78,8 +78,7 @@ def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
     sums = [0.0, 0.0, 0.0]
     count = 0
     for batch_i, batch in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch if training else 0)):
-        samples = [record_sample(r, wave) for r, wave in batch]
-        samples, orig_lens = align_samples(samples)
+        samples, orig_lens = align_samples(batch)
         if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
             perm = mix_rng.permutation(len(samples))
             lams = mix_rng.random(len(samples))
@@ -107,13 +106,10 @@ def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
 def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     """Train on the 'train' split of records; returns the best checkpoint state.
 
-    When out_dir is given, writes checkpoint.bemx, train_log.csv and
-    val_report.csv there.
+    split_train_val takes the validation records out of that split. When out_dir
+    is given, writes checkpoint.bemx, train_log.csv and val_report.csv there.
     """
-    train_recs = [r for r in records if r.split == "train"]
-    val_recs = [r for r in records if r.split == "val"]
-    if not val_recs:
-        train_recs, val_recs = split_train_val(train_recs, cfg.seed, cfg.val_fraction)
+    train_recs, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
     if not train_recs:
         raise DataError("no training records")
     genders = {r.gender for r in train_recs}
@@ -125,8 +121,10 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     opt = Adam(net.parameters(), lr=cfg.lr)
     use_mixup = cfg.mixup_enabled and cfg.feature_kind == "conv"  # mixup mixes raw waveforms
     mix_rng = np.random.default_rng([cfg.seed, 7919]) if use_mixup else None
-    train_data = [(r, read_audio(r.utterance_path)) for r in train_recs]
-    val_data = [(r, read_audio(r.utterance_path)) for r in val_recs]
+    # every file is read and its rate checked here, before the first step
+    train_data = [record_sample(r, read_audio(r.utterance_path)) for r in train_recs]
+    val_waves = [read_audio(r.utterance_path) for r in val_recs]
+    val_data = [record_sample(r, wave) for r, wave in zip(val_recs, val_waves)]
 
     log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
              len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind)
@@ -160,7 +158,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
 
     result = TrainResult(cfg=cfg, norm=norm, best_params=best_params, best_epoch=best_epoch, log_rows=rows)
     if val_recs:
-        result.val_report = evaluation.evaluate(net, norm, val_recs, [wave for _, wave in val_data])
+        result.val_report = evaluation.evaluate(net, norm, val_recs, val_waves)
 
     if out_dir is not None:
         from .checkpoint import save_checkpoint

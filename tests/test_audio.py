@@ -68,6 +68,24 @@ def test_sphere_roundtrip(tmp_path):
         assert np.allclose(w.samples, ref, atol=1.0 / 32768)
 
 
+@pytest.mark.parametrize(
+    "old,new,field",
+    [
+        (b"sample_count -i", b"sample_tally -i", "sample_count"),
+        (b"sample_rate -i", b"sample_rats -i", "sample_rate"),
+        (b"sample_rate -i 16000", b"sample_rate -i 16kHz", "sample_rate"),
+    ],
+    ids=["no_sample_count", "no_sample_rate", "non_integer_rate"],
+)
+def test_sphere_bad_header_field_names_path_and_field(tmp_path, old, new, field):
+    path = tmp_path / "bad.wav"
+    write_sphere(path, tone_wave(200.0, 0.1))
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(FormatError, match=f"header .*{field}") as info:
+        read_audio(path)
+    assert str(path) in str(info.value)
+
+
 def test_sphere_ulaw_rejected(tmp_path):
     path = tmp_path / "u.wav"
     write_sphere(path, tone_wave(200.0, 0.1), coding="ulaw")

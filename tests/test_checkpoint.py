@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moe_profiler.checkpoint import FORMAT_VERSION, load_checkpoint, restore_model, save_checkpoint
-from moe_profiler.errors import ConfigError
+from moe_profiler.errors import ConfigError, FormatError
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
 
@@ -47,6 +47,21 @@ def test_unknown_version_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ConfigError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("what", ["config", "tensor name"])
+def test_non_utf8_text_names_path_and_field(tmp_path, what):
+    cfg = tiny_config()
+    path = tmp_path / "ck.bemx"
+    save_checkpoint(path, cfg, NORM, SpeakerProfiler(cfg).parameters())
+    raw = bytearray(path.read_bytes())
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    # the first tensor name follows the config, norm stats, best epoch, tensor count and name length
+    raw[12 if what == "config" else 12 + cfg_len + 32 + 4 + 4 + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"{what} is not UTF-8") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_bad_magic_rejected(tmp_path):

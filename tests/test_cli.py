@@ -1,16 +1,17 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moe_profiler.audio import write_wav
+from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.checkpoint import load_checkpoint
 from moe_profiler import training
 from moe_profiler.cli import main
 from moe_profiler.errors import NumericError
 
-from .helpers import tone_wave
+from .helpers import tone_wave, write_sphere
 
 
 def run(*argv):
@@ -101,6 +102,13 @@ class TestFeaturesCmd:
     def test_missing_input_exit_2(self, tmp_path):
         assert run("features", "--input", tmp_path / "nope.wav", "--kind", "fbank", "--out", tmp_path / "o.csv") == 2
 
+    def test_malformed_sphere_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wav"
+        write_sphere(bad, tone_wave(440.0, seconds=0.1))
+        bad.write_bytes(bad.read_bytes().replace(b"sample_count -i", b"sample_tally -i", 1))
+        assert run("features", "--input", bad, "--kind", "fbank", "--out", tmp_path / "o.csv") == 2
+        assert "sample_count" in capsys.readouterr().err
+
 
 class TestTrainCmd:
     def test_train_writes_checkpoint(self, corpus4, tmp_path):
@@ -118,8 +126,10 @@ class TestTrainCmd:
 
     def test_impossible_override_exit_1_names_key(self, corpus4, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
-        assert run("train", "--config", cfg, "--override", "num_heads=0") == 1
-        assert "num_heads" in capsys.readouterr().err
+        for key in ("num_heads", "max_epochs"):
+            assert run("train", "--config", cfg, "--override", f"{key}=0") == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
 
     def test_numeric_abort_exit_3(self, corpus4, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -185,6 +195,25 @@ class TestEvaluateCmd:
         wavs = list((corpus / "TRAIN").rglob("*.WAV"))
         n_male = sum(w.parent.name.startswith("M") for w in wavs)
         assert capsys.readouterr().out.splitlines()[0] == f"records: {n_male} male / {len(wavs) - n_male} female"
+
+    def test_8khz_audio_exit_2_names_file(self, trained, tmp_path, capsys):
+        corpus, out_dir = trained
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        slow = {}
+        for split in ("TRAIN", "TEST"):
+            slow[split] = sorted((copy / split).rglob("*.WAV"))[0]
+            write_wav(slow[split], read_audio(slow[split]).samples, 8000)
+        ckpt = out_dir / "checkpoint.bemx"
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", ckpt, "--corpus", copy, "--out", tmp_path / "e.csv") == 2
+        assert str(slow["TEST"]) in capsys.readouterr().err
+        assert run("analyze-phones", "--checkpoint", ckpt, "--corpus", copy, "--out", tmp_path / "p.csv") == 2
+        assert str(slow["TEST"]) in capsys.readouterr().err
+        cfg = write_config(tmp_path / "cfg.txt", copy, tmp_path / "run", max_epochs=1)
+        assert run("train", "--config", cfg) == 2
+        assert str(slow["TRAIN"]) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
 
     def test_missing_checkpoint_exit_2(self, trained, tmp_path):
         corpus, _ = trained

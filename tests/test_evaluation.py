@@ -4,7 +4,7 @@ import pytest
 from moe_profiler import audio, evaluation, pipeline
 from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
-from moe_profiler.errors import ContractError
+from moe_profiler.errors import ContractError, FormatError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
 from moe_profiler.metrics import build_report, mae, pct_change, rmse
 from moe_profiler.model import SpeakerProfiler
@@ -120,6 +120,14 @@ class TestEvaluate:
         for given in (waves, iter(waves)):
             for got, want in zip(predict_records(net, result.norm, recs, given), read):
                 assert np.array_equal(got, want)
+
+    def test_8khz_waveform_raises_format_error_naming_path(self, trained16, corpus16_records_module):
+        net, result = trained16
+        rec = corpus16_records_module[0]
+        wave = audio.Waveform(read_audio(rec.utterance_path).samples, 8000)
+        with pytest.raises(FormatError, match="8000") as info:
+            predict_records(net, result.norm, [rec], [wave])
+        assert str(rec.utterance_path) in str(info.value)
 
     @pytest.mark.parametrize("n_waves", [3, 5])
     def test_waves_of_wrong_length_raise(self, trained16, corpus16_records_module, n_waves):

@@ -117,7 +117,7 @@ def test_val_fraction_outside_unit_interval_rejected(fraction):
 @pytest.mark.parametrize(
     "key,value",
     [("model_dim", 0), ("model_dim", 1), ("num_heads", 0), ("ff_dim", 0), ("expert_dim", 0), ("head_hidden", 0),
-     ("num_layers", -1), ("conv_channels", 1)],
+     ("num_layers", -1), ("conv_channels", 1), ("max_epochs", 0), ("max_epochs", -3)],
 )
 def test_impossible_model_shape_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
