@@ -55,9 +55,11 @@ def _read_wav(path) -> Waveform:
                 raise FormatError(f"{path}: unsupported WAV compression {wf.getcomptype()!r}")
             n = wf.getnframes()
             rate = wf.getframerate()
-            raw = wf.readframes(n)
-    except (wave.Error, EOFError) as exc:
-        raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
+            # a corrupt data chunk size must not ask for more bytes than the file holds
+            raw = wf.readframes(min(n, path.stat().st_size // 2))
+    # wave raises a bare RuntimeError when a corrupt chunk size points past the RIFF chunk
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise FormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
     if len(raw) != 2 * n:
         raise FormatError(f"{path}: truncated WAV data ({len(raw)} bytes for {n} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
@@ -66,6 +68,7 @@ def _read_wav(path) -> Waveform:
 
 def _read_sphere(path) -> Waveform:
     with open(path, "rb") as f:
+        file_size = path.stat().st_size
         header = f.read(1024)
         lines = header.split(b"\n")
         if len(lines) < 2 or lines[0].strip() != b"NIST_1A":
@@ -74,18 +77,23 @@ def _read_sphere(path) -> Waveform:
             header_size = int(lines[1].strip())
         except ValueError as exc:
             raise FormatError(f"{path}: bad NIST header size line {lines[1]!r}") from exc
+        if not 0 <= header_size <= file_size:
+            raise FormatError(f"{path}: NIST header size {header_size} outside the {file_size}-byte file")
         if header_size > 1024:
             f.seek(0)
             header = f.read(header_size)
 
+        # the header text, end_head included, lies inside the first header_size bytes
         fields = {}
-        for line in header.decode("ascii", errors="replace").split("\n")[2:]:
+        for line in header[:header_size].decode("ascii", errors="replace").split("\n")[2:]:
             line = line.strip()
             if line == "end_head":
                 break
             parts = line.split(None, 2)
             if len(parts) == 3:
                 fields[parts[0]] = parts[2]
+        else:
+            raise FormatError(f"{path}: NIST header has no end_head line within its {header_size}-byte size")
 
         nch = _header_int(path, fields, "channel_count", "1")
         if nch != 1:
@@ -98,11 +106,13 @@ def _read_sphere(path) -> Waveform:
         count = _header_int(path, fields, "sample_count")
         byte_fmt = fields.get("sample_byte_format", "01")
         dtype = ">i2" if byte_fmt == "10" else "<i2"
+        if not 0 <= 2 * count <= file_size - header_size:
+            raise FormatError(
+                f"{path}: truncated SPHERE data ({file_size - header_size} bytes for {count} samples)"
+            )
 
         f.seek(header_size)
         raw = f.read(2 * count)
-    if len(raw) != 2 * count:
-        raise FormatError(f"{path}: truncated SPHERE data ({len(raw)} bytes for {count} samples)")
     samples = np.frombuffer(raw, dtype=dtype).astype(np.float64) / INT16_SCALE
     return Waveform(samples, rate)
 

@@ -4,6 +4,7 @@ Little-endian throughout; tensor payloads are raw row-major floats so that
 save -> load round-trips bitwise. Loading rejects unknown versions.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES_BY_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+# NumPy 1's limit on array dimensions; model tensors have at most 3
+_MAX_NDIM = 32
 
 
 @dataclass
@@ -70,16 +73,17 @@ def save_checkpoint(path, cfg: TrainConfig, norm: NormStats, tensors: dict, best
         raise
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated checkpoint while reading {what}")
-    return data
+def _read_exact(f, n, what, path):
+    """Read n bytes, checked first against what is left of the file."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"{path}: truncated checkpoint while reading {what} ({n} bytes, {left} left)")
+    return f.read(n)
 
 
 def _read_text(f, n, what, path):
     try:
-        return _read_exact(f, n, what).decode("utf-8")
+        return _read_exact(f, n, what, path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {what} is not UTF-8 ({exc})") from exc
 
@@ -87,27 +91,29 @@ def _read_text(f, n, what, path):
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        if _read_exact(f, 4, "magic", path) != MAGIC:
             raise ConfigError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version", path))
         if version != FORMAT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint format version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
+        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length", path))
         cfg_text = _read_text(f, cfg_len, "config", path)
         cfg = config_from_items(parse_config_text(cfg_text))
-        norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats")))
-        (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch"))
-        (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+        norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats", path)))
+        (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch", path))
+        (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count", path))
         tensors = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length", path))
             name = _read_text(f, name_len, "tensor name", path)
-            code, ndim = struct.unpack("<BB", _read_exact(f, 2, "tensor header"))
+            code, ndim = struct.unpack("<BB", _read_exact(f, 2, "tensor header", path))
             if code not in _DTYPE_CODES:
                 raise FormatError(f"{path}: unknown dtype code {code} for tensor '{name}'")
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
+            if ndim > _MAX_NDIM:
+                raise FormatError(f"{path}: tensor '{name}' has {ndim} dimensions, at most {_MAX_NDIM} allowed")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape", path))
             dtype = _DTYPE_CODES[code]
-            payload = _read_exact(f, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize, f"tensor '{name}'")
+            payload = _read_exact(f, math.prod(shape) * dtype.itemsize, f"tensor '{name}'", path)
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     return Checkpoint(cfg=cfg, norm=norm, best_epoch=best_epoch, tensors=tensors)
 

@@ -6,6 +6,7 @@ Conventions (the usual ones): 25 ms Hamming frames every 10 ms, pre-emphasis
 order deltas (80*3 = 240 dims); MFCC keeps 16 DCT-II coefficients (16*3 = 48).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,12 @@ def hz_from_mel(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=SAMPLE_RATE):
     """Triangular mel filters from 0 Hz to Nyquist, evaluated on FFT bin center frequencies.
 
-    Returns an (n_mels, nfft//2 + 1) weight matrix.
+    Returns an (n_mels, nfft//2 + 1) weight matrix, built once per argument
+    set and shared between calls, so it is read-only.
     """
     edges = hz_from_mel(np.linspace(mel_from_hz(0.0), mel_from_hz(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
@@ -92,6 +95,7 @@ def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=SAMPLE_RATE):
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)
         weights[j] = np.maximum(0.0, np.minimum(up, down))
+    weights.flags.writeable = False
     return weights
 
 

@@ -86,6 +86,31 @@ def test_sphere_bad_header_field_names_path_and_field(tmp_path, old, new, field)
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "size,match",
+    [(b"     16", "end_head"), (b"    150", "end_head"), (b"    -16", "header size"), (b"  99999", "header size")],
+    ids=["inside_header_text", "cuts_end_head", "negative", "past_end_of_file"],
+)
+def test_sphere_header_size_line_checked(tmp_path, size, match):
+    path = tmp_path / "bad.wav"
+    write_sphere(path, tone_wave(200.0, 0.1))
+    path.write_bytes(path.read_bytes().replace(b"   1024", size, 1))
+    with pytest.raises(FormatError, match=match) as info:
+        read_audio(path)
+    assert str(path) in str(info.value)
+
+
+def test_wav_chunk_size_past_riff_end_rejected(tmp_path):
+    path = tmp_path / "t.wav"
+    write_wav(path, tone_wave(440.0, seconds=0.1), 16000)
+    raw = bytearray(path.read_bytes())
+    raw[16:20] = struct.pack("<I", 0x7FFFFFF0)  # the fmt chunk's size
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="not a readable WAV") as info:
+        read_audio(path)
+    assert str(path) in str(info.value)
+
+
 def test_sphere_ulaw_rejected(tmp_path):
     path = tmp_path / "u.wav"
     write_sphere(path, tone_wave(200.0, 0.1), coding="ulaw")

@@ -64,6 +64,44 @@ def test_non_utf8_text_names_path_and_field(tmp_path, what):
     assert str(path) in str(info.value)
 
 
+def _first_tensor_header_at(raw):
+    """Offset of the first tensor's (dtype code, ndim) bytes."""
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    name_at = 12 + cfg_len + 32 + 4 + 4
+    (name_len,) = struct.unpack("<H", raw[name_at : name_at + 2])
+    return name_at + 2 + name_len
+
+
+def _saved_checkpoint_bytes(path):
+    cfg = tiny_config()
+    save_checkpoint(path, cfg, NORM, SpeakerProfiler(cfg).parameters())
+    return bytearray(path.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "offset,new,match",
+    [(1, b"\xc8", "200 dimensions"), (2, struct.pack("<I", 2**31), "truncated checkpoint")],
+    ids=["ndim_past_numpy_limit", "shape_past_end_of_file"],
+)
+def test_corrupt_tensor_header_names_path(tmp_path, offset, new, match):
+    path = tmp_path / "ck.bemx"
+    raw = _saved_checkpoint_bytes(path)
+    at = _first_tensor_header_at(raw) + offset  # +1 is ndim, +2 the first dimension
+    raw[at : at + len(new)] = new
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=match) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_truncated_checkpoint_names_path(tmp_path):
+    path = tmp_path / "ck.bemx"
+    path.write_bytes(bytes(_saved_checkpoint_bytes(path)[:-10]))
+    with pytest.raises(FormatError, match="truncated checkpoint") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bemx"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -109,6 +109,13 @@ class TestFeaturesCmd:
         assert run("features", "--input", bad, "--kind", "fbank", "--out", tmp_path / "o.csv") == 2
         assert "sample_count" in capsys.readouterr().err
 
+    def test_sphere_header_size_inside_header_text_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wav"
+        write_sphere(bad, tone_wave(440.0, seconds=0.1))
+        bad.write_bytes(bad.read_bytes().replace(b"   1024", b"     16", 1))
+        assert run("features", "--input", bad, "--kind", "fbank", "--out", tmp_path / "o.csv") == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestTrainCmd:
     def test_train_writes_checkpoint(self, corpus4, tmp_path):

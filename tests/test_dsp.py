@@ -148,6 +148,14 @@ def test_mel_filterbank_matches_brute(rng):
     assert np.allclose(mel_filterbank(80, 512, 16000), brute_mel_weights(80, 512, 16000), atol=1e-9)
 
 
+def test_mel_filterbank_built_once_and_read_only():
+    mel = mel_filterbank(80, 512, 16000)
+    assert mel_filterbank(80, 512, 16000) is mel
+    assert not mel.flags.writeable
+    with pytest.raises(ValueError):
+        mel[0, 0] = 1.0
+
+
 def test_features_pure_function():
     w = wave(tone_wave(640.0, 0.2))
     assert np.array_equal(fbank(w).frames, fbank(w).frames)

@@ -2,6 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from moe_profiler import tensor as T
 from moe_profiler.errors import ContractError, NumericError, ShapeError
@@ -114,6 +115,76 @@ class TestBackward:
         T.sum_(p).backward()
         p.zero_grad()
         assert p.grad is None
+
+
+def exact_gelu(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+class TestGelu:
+    def test_float32_within_2e_6_on_dense_grid(self):
+        x = np.linspace(-8.0, 8.0, 400_001, dtype=np.float32)
+        y = T.gelu(Tensor(x)).data
+        assert y.dtype == np.float32
+        assert np.abs(y - exact_gelu(x)).max() <= 2e-6
+
+    def test_float32_exact_far_from_zero(self):
+        lo = np.array([-1e4, -100.0, -8.0, -6.5, -6.0], dtype=np.float32)
+        hi = -lo
+        assert np.array_equal(T.gelu(Tensor(lo)).data, np.zeros(5, dtype=np.float32))
+        assert np.array_equal(T.gelu(Tensor(hi)).data, hi)
+
+    def test_float64_within_5e_7(self):
+        x = np.linspace(-8.0, 8.0, 400_001)
+        y = T.gelu(Tensor(x)).data
+        assert y.dtype == np.float64
+        assert np.abs(y - exact_gelu(x)).max() <= 5e-7
+
+    def test_float64_vjp_matches_central_differences(self):
+        x = np.linspace(-6.0, 6.0, 12_001)
+        t = t64(x)
+        T.sum_(T.gelu(t)).backward()
+        h = 1e-6
+        fd = (T.gelu(Tensor(x + h)).data - T.gelu(Tensor(x - h)).data) / (2.0 * h)
+        assert np.abs(fd - t.grad).max() <= 1e-5
+
+    def test_float32_stays_float32_through_backward(self, rng):
+        x = Tensor(rng.normal(size=(3, 50, 4)).astype(np.float32), requires_grad=True)
+        y = T.gelu(x)
+        T.sum_(T.mul(y, y)).backward()
+        assert y.data.dtype == np.float32
+        assert x.grad.dtype == np.float32 and x.grad.shape == x.shape
+
+    def test_transposed_input(self, rng):
+        base = rng.normal(scale=3.0, size=(7, 5))
+        x = t64(base.T)
+        assert not x.data.flags.c_contiguous
+        y = T.gelu(x)
+        T.sum_(y).backward()
+        ref = t64(np.ascontiguousarray(base.T))
+        T.sum_(T.gelu(ref)).backward()
+        assert y.shape == (5, 7)
+        assert np.array_equal(y.data, T.gelu(ref).data)
+        assert np.array_equal(x.grad, ref.grad)
+
+    def test_blocks_match_per_slice_results_bitwise(self, rng):
+        n = int(2.5 * T._BLOCK) + 7
+        x = (rng.normal(scale=4.0, size=n)).astype(np.float32)
+        g = rng.normal(size=n).astype(np.float32)
+        whole = Tensor(x, requires_grad=True)
+        T.sum_(T.mul(T.gelu(whole), Tensor(g))).backward()
+        # block edges, then cuts that straddle them
+        for cuts in ([T._BLOCK, 2 * T._BLOCK], [1000, T._BLOCK + 3, n - 5]):
+            ys, grads = [], []
+            for xs, gs in zip(np.split(x, cuts), np.split(g, cuts)):
+                part = Tensor(xs, requires_grad=True)
+                y = T.gelu(part)
+                T.sum_(T.mul(y, Tensor(gs))).backward()
+                ys.append(y.data)
+                grads.append(part.grad)
+            assert np.array_equal(np.concatenate(ys), T.gelu(Tensor(x)).data)
+            assert np.array_equal(np.concatenate(grads), whole.grad)
 
 
 # gradient checks: every differentiable op against central differences
