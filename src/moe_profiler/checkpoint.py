@@ -15,7 +15,7 @@ import numpy as np
 from .config import TrainConfig, config_from_items, parse_config_text
 from .errors import ConfigError, FormatError
 from .metrics import NormStats
-from .model import SpeakerProfiler
+from .model import SpeakerProfiler, param_specs
 from .tensor import Tensor
 
 MAGIC = b"BEMX"
@@ -119,16 +119,21 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_model(ck: Checkpoint) -> SpeakerProfiler:
-    """Rebuild a SpeakerProfiler from a checkpoint's config and tensors."""
-    net = SpeakerProfiler(ck.cfg)
-    params = net.parameters()
-    missing = sorted(set(params) - set(ck.tensors))
-    extra = sorted(set(ck.tensors) - set(params))
+    """Rebuild a SpeakerProfiler from a checkpoint's config and tensors.
+
+    The config's parameter shapes are checked against the tensors before the
+    model is built, so a corrupt config allocates nothing.
+    """
+    shapes = {name: shape for name, shape, _ in param_specs(ck.cfg)}
+    missing = sorted(set(shapes) - set(ck.tensors))
+    extra = sorted(set(ck.tensors) - set(shapes))
     if missing or extra:
         raise ConfigError(f"checkpoint does not match model: missing {missing[:3]}, unexpected {extra[:3]}")
-    for name, p in params.items():
+    for name, shape in shapes.items():
         arr = ck.tensors[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise ConfigError(f"checkpoint tensor '{name}' has shape {arr.shape}, model expects {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        if arr.shape != shape:
+            raise ConfigError(f"checkpoint tensor '{name}' has shape {arr.shape}, model expects {shape}")
+    net = SpeakerProfiler(ck.cfg)
+    for name, p in net.parameters().items():
+        p.data = ck.tensors[name].astype(p.data.dtype, copy=True)
     return net

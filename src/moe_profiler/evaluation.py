@@ -64,7 +64,7 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
     base = evaluate(net, norm, usable, waves)
     rows = {}
     for cls in TABLE_ORDER:
-        # a generator, so one masked copy is alive at a time
+        # a generator: predict_records masks one window of records at a time
         masked_waves = (mask_phone_class(w, t, cls) for w, t in zip(waves, transcriptions))
         masked = evaluate(net, norm, usable, masked_waves)
         rows[cls] = (

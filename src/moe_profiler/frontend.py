@@ -66,20 +66,20 @@ class ConvFrontendConfig:
         return t
 
 
-def init_frontend_params(cfg: ConvFrontendConfig, rng, params, dtype=np.float32):
-    """Create conv + layer-norm parameters under 'frontend.*' names."""
+def frontend_param_specs(cfg: ConvFrontendConfig):
+    """(name, shape, trainable) of the conv + layer-norm parameters, in init order."""
+    specs = []
     cin = 1
     for i, l in enumerate(cfg.layers):
-        frozen = i < cfg.num_frozen_layers
-        fan_in = l.kernel * cin
-        limit = np.sqrt(6.0 / (fan_in + l.channels))
-        w = rng.uniform(-limit, limit, size=(l.kernel, cin, l.channels))
-        params[f"frontend.conv{i}.w"] = Tensor(w.astype(dtype), requires_grad=not frozen)
-        params[f"frontend.conv{i}.b"] = Tensor(np.zeros(l.channels, dtype=dtype), requires_grad=not frozen)
-        params[f"frontend.ln{i}.gain"] = Tensor(np.ones(l.channels, dtype=dtype), requires_grad=not frozen)
-        params[f"frontend.ln{i}.bias"] = Tensor(np.zeros(l.channels, dtype=dtype), requires_grad=not frozen)
+        trainable = i >= cfg.num_frozen_layers
+        specs += [
+            (f"frontend.conv{i}.w", (l.kernel, cin, l.channels), trainable),
+            (f"frontend.conv{i}.b", (l.channels,), trainable),
+            (f"frontend.ln{i}.gain", (l.channels,), trainable),
+            (f"frontend.ln{i}.bias", (l.channels,), trainable),
+        ]
         cin = l.channels
-    return params
+    return specs
 
 
 def frontend_forward(params, waveforms, cfg: ConvFrontendConfig):

@@ -32,12 +32,12 @@ class LabeledSample:
 
 
 def tile_to(x, n):
-    """Repeat x end-to-end and truncate to exactly n samples."""
+    """Repeat x end-to-end along its first axis and truncate to exactly n rows."""
     x = np.asarray(x)
     if len(x) >= n:
         return x[:n]
     reps = -(-n // len(x))
-    return np.tile(x, reps)[:n]
+    return np.tile(x, (reps,) + (1,) * (x.ndim - 1))[:n]
 
 
 def length_align(x_i, x_j):

@@ -7,6 +7,7 @@ heads regress normalized age and height. A single-encoder variant drops the
 second expert and the gating mixture.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .audio import SAMPLE_RATE
 from .config import TrainConfig
 from .dsp import FEATURE_DIMS, num_frames
 from .errors import ConfigError, LengthError, ShapeError
-from .frontend import ConvFrontendConfig, frontend_forward, init_frontend_params
+from .frontend import ConvFrontendConfig, frontend_forward, frontend_param_specs
 from . import tensor as T
 from .tensor import Tensor
 
@@ -90,9 +91,69 @@ def gate_predict(views, w, b):
     return T.clip(T.sigmoid(z), GATE_EPS, 1.0 - GATE_EPS)
 
 
-def _linear_init(rng, din, dout, dtype):
-    limit = np.sqrt(6.0 / (din + dout))
-    return rng.uniform(-limit, limit, size=(din, dout)).astype(dtype)
+def param_specs(cfg: TrainConfig):
+    """(name, shape, trainable) of every parameter a config builds, in init order.
+
+    Shapes only: a checkpoint is checked against these before any model
+    is allocated. Loss log-variances are included.
+    """
+    specs = []
+    if cfg.feature_kind == "conv":
+        conv_cfg = ConvFrontendConfig.default(cfg.conv_channels, cfg.num_frozen_layers)
+        specs += frontend_param_specs(conv_cfg)
+        in_dim = conv_cfg.out_dim
+    else:
+        in_dim = FEATURE_DIMS[cfg.feature_kind]
+
+    def linear(name, din, dout):
+        specs.extend([(f"{name}.w", (din, dout), True), (f"{name}.b", (dout,), True)])
+
+    def ln(name, d):
+        specs.extend([(f"{name}.gain", (d,), True), (f"{name}.bias", (d,), True)])
+
+    d = cfg.model_dim
+    prefixes = expert_prefixes(cfg)
+    for prefix in prefixes:
+        linear(f"{prefix}.proj", in_dim, d)
+        for l in range(cfg.num_layers):
+            base = f"{prefix}.enc.l{l}"
+            ln(f"{base}.ln1", d)
+            for part in ("wq", "wk", "wv", "wo"):
+                linear(f"{base}.attn.{part}", d, d)
+            ln(f"{base}.ln2", d)
+            linear(f"{base}.ff.fc1", d, cfg.ff_dim)
+            linear(f"{base}.ff.fc2", cfg.ff_dim, d)
+        ln(f"{prefix}.enc.lnf", d)
+        linear(f"{prefix}.fc", 2 * d, cfg.expert_dim)
+    linear("gate", len(prefixes) * cfg.expert_dim, 1)
+    for task in ("age", "height"):
+        linear(f"head_{task}.fc1", cfg.expert_dim, cfg.head_hidden)
+        linear(f"head_{task}.fc2", cfg.head_hidden, 1)
+    specs += [(f"loss.{s}", (), True) for s in ("s_height", "s_age", "s_gender")]
+    return specs
+
+
+def expert_prefixes(cfg: TrainConfig):
+    """Parameter prefixes of the expert encoders: one per gender, or one shared."""
+    return ("expert_m", "expert_f") if cfg.mode == "bi_encoder" else ("expert",)
+
+
+def init_params(specs, rng, dtype=np.float32):
+    """name -> Tensor for each (name, shape, trainable) spec, drawn from rng in spec order.
+
+    A '.w' weight is uniform in +-sqrt(6 / (fan_in + fan_out)), fan_out
+    being its last axis and fan_in the product of the others; a '.gain'
+    starts at ones; every other parameter at zeros.
+    """
+    params = {}
+    for name, shape, trainable in specs:
+        if name.endswith(".w"):
+            limit = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            data = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        else:
+            data = (np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=dtype)
+        params[name] = Tensor(data, requires_grad=trainable)
+    return params
 
 
 class SpeakerProfiler:
@@ -109,57 +170,9 @@ class SpeakerProfiler:
         self.conv_cfg = None
         if cfg.feature_kind == "conv":
             self.conv_cfg = ConvFrontendConfig.default(cfg.conv_channels, cfg.num_frozen_layers)
-        self.params = {}
         rng = np.random.default_rng(cfg.seed)
-        self._build(rng)
+        self.params = init_params(param_specs(cfg), rng, dtype)
         self._droprng = np.random.default_rng(rng.integers(2**63))
-
-    # -- construction -------------------------------------------------------
-
-    def input_dim(self):
-        if self.conv_cfg is not None:
-            return self.conv_cfg.out_dim
-        return FEATURE_DIMS[self.cfg.feature_kind]
-
-    def _expert_prefixes(self):
-        """Parameter prefixes of the expert encoders: one per gender, or one shared."""
-        return ("expert_m", "expert_f") if self.cfg.mode == "bi_encoder" else ("expert",)
-
-    def _add_linear(self, rng, name, din, dout):
-        self.params[f"{name}.w"] = Tensor(_linear_init(rng, din, dout, self.dtype), requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(np.zeros(dout, dtype=self.dtype), requires_grad=True)
-
-    def _add_ln(self, rng, name, d):
-        self.params[f"{name}.gain"] = Tensor(np.ones(d, dtype=self.dtype), requires_grad=True)
-        self.params[f"{name}.bias"] = Tensor(np.zeros(d, dtype=self.dtype), requires_grad=True)
-
-    def _build_expert(self, rng, prefix):
-        c = self.cfg
-        self._add_linear(rng, f"{prefix}.proj", self.input_dim(), c.model_dim)
-        for l in range(c.num_layers):
-            base = f"{prefix}.enc.l{l}"
-            self._add_ln(rng, f"{base}.ln1", c.model_dim)
-            for part in ("wq", "wk", "wv", "wo"):
-                self._add_linear(rng, f"{base}.attn.{part}", c.model_dim, c.model_dim)
-            self._add_ln(rng, f"{base}.ln2", c.model_dim)
-            self._add_linear(rng, f"{base}.ff.fc1", c.model_dim, c.ff_dim)
-            self._add_linear(rng, f"{base}.ff.fc2", c.ff_dim, c.model_dim)
-        self._add_ln(rng, f"{prefix}.enc.lnf", c.model_dim)
-        self._add_linear(rng, f"{prefix}.fc", 2 * c.model_dim, c.expert_dim)
-
-    def _build(self, rng):
-        cfg = self.cfg
-        if self.conv_cfg is not None:
-            init_frontend_params(self.conv_cfg, rng, self.params, self.dtype)
-        prefixes = self._expert_prefixes()
-        for prefix in prefixes:
-            self._build_expert(rng, prefix)
-        self._add_linear(rng, "gate", len(prefixes) * cfg.expert_dim, 1)
-        for task in ("age", "height"):
-            self._add_linear(rng, f"head_{task}.fc1", cfg.expert_dim, cfg.head_hidden)
-            self._add_linear(rng, f"head_{task}.fc2", cfg.head_hidden, 1)
-        for s in ("s_height", "s_age", "s_gender"):
-            self.params[f"loss.{s}"] = Tensor(np.zeros((), dtype=self.dtype), requires_grad=True)
 
     def parameters(self):
         return self.params
@@ -183,7 +196,8 @@ class SpeakerProfiler:
     def _ln(self, x, name):
         return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _mha(self, x, base):
+    def _mha(self, x, base, key_bias=None):
+        """Multi-head self-attention; key_bias (B, 1, 1, T) is added to every query's key scores."""
         b, t, d = x.shape
         h = self.cfg.num_heads
         dk = d // h
@@ -195,18 +209,32 @@ class SpeakerProfiler:
         k = split(self._lin(x, f"{base}.wk"))
         v = split(self._lin(x, f"{base}.wv"))
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
+        if key_bias is not None:
+            scores = T.add(scores, key_bias)
         attn = T.softmax_rows(scores)
         ctx = T.matmul(attn, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return self._lin(ctx, f"{base}.wo")
 
-    def transformer_encoder(self, x, prefix, training=False):
-        """Pre-norm self-attention stack; preserves (B, T, model_dim)."""
+    def transformer_encoder(self, x, prefix, training=False, frame_mask=None):
+        """Pre-norm self-attention stack; preserves (B, T, model_dim).
+
+        frame_mask: optional (B, T) 0/1 array; frames marked 0 are hidden from
+        attention as keys by an additive -inf (key-padding mask), so the
+        frames marked 1 see only each other.
+        """
         if x.shape[1] == 0:
             raise LengthError("encoder needs at least one frame")
+        key_bias = None
+        if frame_mask is not None:
+            frame_mask = np.asarray(frame_mask)
+            if frame_mask.shape != x.shape[:2]:
+                raise ShapeError(f"frame mask shape {frame_mask.shape} does not match frames {x.shape[:2]}")
+            bias = np.where(frame_mask > 0, 0.0, -np.inf).astype(x.data.dtype)
+            key_bias = Tensor(bias[:, None, None, :])
         for l in range(self.cfg.num_layers):
             base = f"{prefix}.enc.l{l}"
-            att = self._mha(self._ln(x, f"{base}.ln1"), f"{base}.attn")
+            att = self._mha(self._ln(x, f"{base}.ln1"), f"{base}.attn", key_bias)
             x = T.add(x, self._drop(att, training))
             ff = self._lin(T.relu(self._lin(self._ln(x, f"{base}.ln2"), f"{base}.ff.fc1")), f"{base}.ff.fc2")
             x = T.add(x, self._drop(ff, training))
@@ -218,7 +246,7 @@ class SpeakerProfiler:
         if self.cfg.use_positional_encoding:
             pe = sinusoidal_positions(proj.shape[1], self.cfg.model_dim, dtype=proj.data.dtype)
             proj = T.add(proj, Tensor(pe[None, :, :]))
-        enc = self.transformer_encoder(proj, prefix, training)
+        enc = self.transformer_encoder(proj, prefix, training, frame_mask)
         pooled = statistical_pooling(enc, frame_mask)
         return self._lin(self._drop(pooled, training), f"{prefix}.fc")
 
@@ -234,7 +262,7 @@ class SpeakerProfiler:
         if x.shape[1] < 1:
             raise LengthError("empty feature sequence")
         b = x.shape[0]
-        views = [self.expert_forward(x, prefix, training, frame_mask) for prefix in self._expert_prefixes()]
+        views = [self.expert_forward(x, prefix, training, frame_mask) for prefix in expert_prefixes(self.cfg)]
         if force_gate is not None:
             g = Tensor(np.full((b, 1), float(force_gate), dtype=x.data.dtype))
         else:

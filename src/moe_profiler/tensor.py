@@ -4,7 +4,9 @@ A small numpy-backed tape: every operation records its input tensors and a
 backward closure, and ``backward()`` on a scalar walks the recorded graph in
 reverse topological order. Gradients accumulate into ``.grad`` buffers across
 repeated backward calls until they are explicitly zeroed, which keeps
-multi-loss graphs explicit.
+multi-loss graphs explicit. Inside ``no_grad()`` no tape is recorded, so
+a forward-only pass frees each intermediate array as soon as the next op has
+used it.
 
 float32 is the working precision. Constructing a tensor from a float64 array
 keeps float64; the gradient-check tests rely on this to run the whole stack
@@ -18,6 +20,8 @@ precision.
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -73,9 +77,29 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+# False inside no_grad(); a context variable, so the block covers only the
+# thread (or task) that entered it
+_recording = ContextVar("moe_profiler_recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; forward values are unchanged.
+
+    Ops return tensors with no parents and no vjp, so nothing built inside
+    can be backpropagated. Recording resumes when the block exits, also
+    when it raises.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data, parents, vjp):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp

@@ -21,6 +21,7 @@ from .metrics import NormStats
 from .model import SpeakerProfiler
 from .optim import Adam
 from .pipeline import align_samples, batch_forward, record_sample
+from .tensor import no_grad
 from . import evaluation
 
 log = logging.getLogger("moe_profiler.training")
@@ -138,7 +139,8 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     for epoch in range(1, cfg.max_epochs + 1):
         rows.append(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
         if val_data:
-            rows.append(_run_epoch(net, norm, cfg, val_data, epoch))
+            with no_grad():  # the val pass never calls backward
+                rows.append(_run_epoch(net, norm, cfg, val_data, epoch))
         monitor = rows[-1].l_total
 
         if monitor < best_loss:

@@ -129,11 +129,14 @@ def test_criterion_02_gradient_suite():
         t0 = time.time()
         worst_ops = run_all_op_gradchecks()  # asserts < 1e-4 per op
         worst_e2e, checked = e2e_grad_check(tol=1e-3)  # full tiny bi-encoder, float64
+        # two unequal utterances in one alignment-masked batch: attention's key mask on the tape
+        worst_masked, checked_masked = e2e_grad_check(tol=1e-3, masked=True)
         elapsed = time.time() - t0
         net = build_e2e_net()
-        assert checked == len(net.parameters())
+        assert checked == checked_masked == len(net.parameters())
         assert worst_ops < 1e-4
         assert worst_e2e < 1e-3
+        assert worst_masked < 1e-3
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from moe_profiler import checkpoint
 from moe_profiler.checkpoint import FORMAT_VERSION, load_checkpoint, restore_model, save_checkpoint
 from moe_profiler.errors import ConfigError, FormatError
 from moe_profiler.metrics import NormStats
@@ -128,6 +129,31 @@ def test_restore_rejects_mismatched_tensors(tmp_path):
     save_checkpoint(path, cfg, NORM, tensors)
     with pytest.raises(ConfigError, match="gate.w"):
         restore_model(load_checkpoint(path))
+
+
+def write_corrupt_config_checkpoint(path, old="model_dim=8\n", new="model_dim=1024\n"):
+    """A tiny checkpoint whose config text, still parseable, names a wider model than its tensors."""
+    cfg = tiny_config()
+    save_checkpoint(path, cfg, NORM, SpeakerProfiler(cfg).parameters())
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    text = raw[12:12 + cfg_len].decode("utf-8")
+    assert old in text
+    text = text.replace(old, new).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len:])
+    return path
+
+
+def test_corrupt_config_rejected_before_any_model_is_built(tmp_path, monkeypatch):
+    ck = load_checkpoint(write_corrupt_config_checkpoint(tmp_path / "ck.bemx"))
+    assert ck.cfg.model_dim == 1024
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("restore_model built a model before checking shapes")
+
+    monkeypatch.setattr(checkpoint, "SpeakerProfiler", no_model)
+    with pytest.raises(ConfigError, match="model expects"):
+        restore_model(ck)
 
 
 def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):

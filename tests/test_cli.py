@@ -12,6 +12,7 @@ from moe_profiler.cli import main
 from moe_profiler.errors import NumericError
 
 from .helpers import tone_wave, write_sphere
+from .test_checkpoint import write_corrupt_config_checkpoint
 
 
 def run(*argv):
@@ -221,6 +222,13 @@ class TestEvaluateCmd:
         assert run("train", "--config", cfg) == 2
         assert str(slow["TRAIN"]) in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+
+    def test_corrupt_checkpoint_config_exit_1(self, trained, tmp_path, capsys):
+        corpus, _ = trained
+        path = write_corrupt_config_checkpoint(tmp_path / "ck.bemx")
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", path, "--corpus", corpus) == 1
+        assert "model expects" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, trained, tmp_path):
         corpus, _ = trained

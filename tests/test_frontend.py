@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from moe_profiler.errors import ConfigError, LengthError
-from moe_profiler.frontend import ConvFrontendConfig, frontend_forward, init_frontend_params
+from moe_profiler.frontend import ConvFrontendConfig, frontend_forward, frontend_param_specs
+from moe_profiler.model import init_params
 from moe_profiler.tensor import zero_grads
 from moe_profiler import tensor as T
 
 
 def make_frontend(channels=4, frozen=0, dtype=np.float64, seed=0):
     cfg = ConvFrontendConfig.default(channels, frozen)
-    params = {}
-    init_frontend_params(cfg, np.random.default_rng(seed), params, dtype=dtype)
-    return cfg, params
+    return cfg, init_params(frontend_param_specs(cfg), np.random.default_rng(seed), dtype=dtype)
 
 
 def stride_oracle(n, layers):

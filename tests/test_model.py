@@ -3,7 +3,7 @@ import pytest
 
 from moe_profiler import tensor as T
 from moe_profiler.errors import ShapeError
-from moe_profiler.losses import task_losses, uncertainty_loss
+from moe_profiler.losses import LabeledSample, task_losses, uncertainty_loss
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import (
     GATE_EPS,
@@ -12,10 +12,11 @@ from moe_profiler.model import (
     gate_predict,
     statistical_pooling,
 )
+from moe_profiler.pipeline import align_samples, batch_forward
 from moe_profiler.tensor import Tensor, zero_grads
 
 from .conftest import tiny_config
-from .helpers import check_op_grads, numeric_grads, rel_err
+from .helpers import FD_EPS, check_op_grads, numeric_grads, rel_err
 
 
 def feats_config(**over):
@@ -225,7 +226,7 @@ class TestModes:
             assert np.all(out.gender_p.data > 0.0) and np.all(out.gender_p.data < 1.0)
 
 
-def build_e2e_net(seed=13):
+def build_e2e_net(seed=13, **over):
     """Tiny float64 bi-encoder over the conv frontend for gradient checking."""
     cfg = tiny_config(
         conv_channels=4,
@@ -237,23 +238,41 @@ def build_e2e_net(seed=13):
         head_hidden=4,
         dropout_p=0.0,
         seed=seed,
+        **over,
     )
     return SpeakerProfiler(cfg, dtype=np.float64)
 
 
-def e2e_grad_check(tol=1e-3, max_params=None):
+def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720), eps=FD_EPS):
     """Full-model gradient check through frontend, experts, gate, heads, loss.
 
+    masked runs an alignment-masked batch of two utterances of unequal
+    lengths (default 3 and 2 frames), so attention's key mask is on the
+    tape. eps is the central-difference step.
     Returns (worst relative error, params checked).
     """
-    net = build_e2e_net()
+    net = build_e2e_net(alignment_masking=masked)
     rng = np.random.default_rng(77)
-    wav = rng.normal(size=(1, 720)) * 0.3
     norm = NormStats(40.0, 10.0, 170.0, 8.0)
+    if masked:
+        samples = [
+            LabeledSample(rng.normal(size=n) * 0.3, height, age, gender)
+            for n, height, age, gender in zip(lengths, (172.0, 160.0), (33.0, 51.0), (1.0, 0.0))
+        ]
+        aligned, orig_lens = align_samples(samples)
+        labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
+
+        def forward():
+            return batch_forward(net, aligned, orig_lens=orig_lens)
+    else:
+        wav = rng.normal(size=(1, 720)) * 0.3
+        labels = ([172.0], [33.0], [1.0])
+
+        def forward():
+            return net.forward_waveforms(Tensor(wav))
 
     def build():
-        out = net.forward_waveforms(Tensor(wav))
-        l_h, l_a, l_g = task_losses(out, [172.0], [33.0], [1.0], norm)
+        l_h, l_a, l_g = task_losses(forward(), *labels, norm)
         return uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
 
     loss = build()
@@ -269,7 +288,7 @@ def e2e_grad_check(tol=1e-3, max_params=None):
         if max_params is not None and checked >= max_params:
             break
         assert p.grad is not None, f"no gradient for {name}"
-        (num,) = numeric_grads(f, [p.data])
+        (num,) = numeric_grads(f, [p.data], eps)
         err = rel_err(p.grad, num)
         assert err < tol, f"{name}: rel err {err:.2e}"
         worst = max(worst, err)
@@ -281,6 +300,22 @@ def test_end_to_end_gradients_sampled():
     # fast spot check; the acceptance suite sweeps every parameter
     worst, checked = e2e_grad_check(tol=1e-3, max_params=12)
     assert checked == 12
+    assert worst < 1e-3
+
+
+def test_masked_end_to_end_gradients_sampled():
+    # the first 12 parameters by name are expert_f's attention and feed-forward
+    worst, checked = e2e_grad_check(tol=1e-3, max_params=12, masked=True)
+    assert checked == 12
+    assert worst < 1e-3
+
+
+def test_masked_end_to_end_gradients_longer_pair():
+    # 1360/720 samples (4 and 2 frames): at eps 1e-5 central differences miss
+    # frontend.conv0.b by 2.2e-3 (their truncation error falls as eps^2), at
+    # eps 1e-6 by 2.7e-6; the tolerance is criterion 2's
+    worst, checked = e2e_grad_check(tol=1e-3, masked=True, lengths=(1360, 720), eps=1e-6)
+    assert checked == len(build_e2e_net().parameters())
     assert worst < 1e-3
 
 

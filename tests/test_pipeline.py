@@ -1,0 +1,121 @@
+"""Batched eval: a record's prediction must not depend on its batch-mates."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from moe_profiler import pipeline
+from moe_profiler.audio import read_audio
+from moe_profiler.corpus import scan_corpus
+from moe_profiler.metrics import NormStats
+from moe_profiler.model import SpeakerProfiler
+from moe_profiler.pipeline import align_samples, batch_forward, predict_records, record_sample
+
+from .conftest import tiny_config
+
+CONFIGS = {
+    "conv_bi": dict(),
+    "fbank_bi_masked": dict(feature_kind="fbank", alignment_masking=True),
+    "mfcc_single": dict(feature_kind="mfcc", mode="single_encoder"),
+}
+FIELDS = ("age_z", "height_z", "gender_p")
+
+
+@pytest.fixture(scope="module")
+def records16(corpus16):
+    return scan_corpus(corpus16)
+
+
+@pytest.fixture(scope="module")
+def samples16(records16):
+    return [record_sample(r, read_audio(r.utterance_path)) for r in records16]
+
+
+def per_utterance(net, samples):
+    """Each sample forwarded alone, unmasked: the batch-of-one reference."""
+    outs = [batch_forward(net, [s]) for s in samples]
+    return {f: np.array([float(getattr(o, f).data[0]) for o in outs]) for f in FIELDS}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_masked_batch_equals_per_utterance(samples16, name):
+    net = SpeakerProfiler(tiny_config(**CONFIGS[name]))
+    assert len({len(s.waveform) for s in samples16}) > 1
+    aligned, orig_lens = align_samples(samples16)
+    batched = batch_forward(net, aligned, orig_lens=orig_lens)
+    want = per_utterance(net, samples16)
+    for f in FIELDS:
+        np.testing.assert_allclose(getattr(batched, f).data, want[f], rtol=1e-5, atol=1e-6, err_msg=f)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_predict_records_batches_and_equals_per_utterance(records16, samples16, name, monkeypatch):
+    net = SpeakerProfiler(tiny_config(**CONFIGS[name]))
+    norm = NormStats.fit(records16)
+    batches = []
+
+    def recording_forward(net, samples, **kwargs):
+        batches.append([len(s.waveform) for s in samples])
+        return batch_forward(net, samples, **kwargs)
+
+    monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
+    ages, heights, genders = predict_records(net, norm, records16)
+    monkeypatch.undo()
+
+    assert len(batches) < len(records16)
+    assert sum(len(b) for b in batches) == len(records16)
+    for b in batches:
+        assert len(b) == 1 or len(b) * b[0] <= pipeline.EVAL_BATCH_SAMPLES  # tiled to the longest
+    assert [b[0] for b in batches] == sorted(b[0] for b in batches)
+    want = per_utterance(net, samples16)
+    np.testing.assert_allclose(ages, norm.de_age(want["age_z"]), rtol=1e-5)
+    np.testing.assert_allclose(heights, norm.de_height(want["height_z"]), rtol=1e-5)
+    np.testing.assert_allclose(genders, want["gender_p"], rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["conv", "fbank"])
+def test_tiled_samples_do_not_reach_the_shorter_prediction(samples16, kind, rng):
+    net = SpeakerProfiler(tiny_config(feature_kind=kind))
+    pair = sorted(samples16[:2], key=lambda s: len(s.waveform))
+    aligned, orig_lens = align_samples(pair)
+    assert orig_lens[0] < orig_lens[1]
+    before = batch_forward(net, aligned, orig_lens=orig_lens)
+
+    short = aligned[0].waveform.copy()
+    short[orig_lens[0]:] = rng.uniform(-0.5, 0.5, len(short) - orig_lens[0])
+    aligned[0] = dataclasses.replace(aligned[0], waveform=short)
+    after = batch_forward(net, aligned, orig_lens=orig_lens)
+    for f in FIELDS:
+        assert getattr(after, f).data[0] == getattr(before, f).data[0], f
+
+
+def test_predict_records_reads_one_window_at_a_time(records16, samples16, monkeypatch):
+    net = SpeakerProfiler(tiny_config())
+    norm = NormStats.fit(records16)
+    lengths = [len(s.waveform) for s in samples16]
+    monkeypatch.setattr(pipeline, "EVAL_WINDOW_SAMPLES", 3 * max(lengths))
+    read = []
+    forwards_after = []
+
+    def waves():
+        for r in records16:
+            read.append(r)
+            yield read_audio(r.utterance_path)
+
+    def recording_forward(net, samples, **kwargs):
+        forwards_after.append(len(read))
+        return batch_forward(net, samples, **kwargs)
+
+    monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
+    ages, heights, genders = predict_records(net, norm, records16, waves())
+    monkeypatch.undo()
+
+    # the first window closes at the first record that brings it to the budget
+    first = next(k for k in range(1, len(lengths) + 1) if sum(lengths[:k]) >= 3 * max(lengths))
+    assert forwards_after[0] == first < len(records16)
+    assert forwards_after[-1] == len(records16)
+    want = per_utterance(net, samples16)
+    np.testing.assert_allclose(ages, norm.de_age(want["age_z"]), rtol=1e-5)
+    np.testing.assert_allclose(heights, norm.de_height(want["height_z"]), rtol=1e-5)
+    np.testing.assert_allclose(genders, want["gender_p"], rtol=1e-5, atol=1e-6)

@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -115,6 +116,50 @@ class TestBackward:
         T.sum_(p).backward()
         p.zero_grad()
         assert p.grad is None
+
+
+class TestNoGrad:
+    def _graph(self, p, w):
+        return T.sum_(T.gelu(T.layer_norm(T.matmul(p, w), Tensor(np.ones(3)), Tensor(np.zeros(3)))))
+
+    def test_outputs_have_no_parents_and_equal_values(self, rng):
+        p, w = t64(rng.normal(size=(2, 4))), t64(rng.normal(size=(4, 3)))
+        recorded = self._graph(p, w)
+        with T.no_grad():
+            plain = self._graph(p, w)
+            hidden = T.matmul(p, w)
+        for out in (plain, hidden):
+            assert out._parents == () and out._vjp is None and not out.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+        plain.backward()  # nothing recorded: a no-op
+        assert p.grad is None and w.grad is None
+
+    def test_recording_restored_after_block(self, rng):
+        p = t64(rng.normal(size=3))
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.exp(p).requires_grad  # an inner block restores the outer one's state
+        out = T.exp(p)
+        assert out.requires_grad and out._parents == (p,)
+
+    def test_block_covers_only_its_own_thread(self, rng):
+        p = t64(rng.normal(size=3))
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(T.exp(p).requires_grad))
+        with T.no_grad():
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]
+
+    def test_recording_restored_when_block_raises(self, rng):
+        p = t64(rng.normal(size=3))
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.matmul(p, p)
+        T.sum_(T.exp(p)).backward()
+        assert np.allclose(p.grad, np.exp(p.data))
 
 
 def exact_gelu(x):

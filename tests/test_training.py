@@ -80,8 +80,9 @@ def test_val_split_used_when_enough_records(corpus16, caplog):
 
 
 def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
-    # masking applies to pooling only: the shorter item's pooled stats drop
-    # the tiled frames (prediction changes), the longest item is unaffected
+    # masking hides the tiled frames from attention keys and from pooling: the
+    # shorter item's prediction changes, the longest item (no tiled frames)
+    # is unaffected
     net = SpeakerProfiler(tiny_config(alignment_masking=True))
     samples = [record_sample(r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
     assert len(samples[0].waveform) != len(samples[1].waveform)
