@@ -28,10 +28,9 @@ FEATURE_DIMS = {"fbank": 3 * N_MELS, "mfcc": 3 * N_CEPS}
 
 @dataclass
 class FeatureSequence:
-    """T x D feature matrix with its frame rate and the family it belongs to."""
+    """T x D feature matrix and the family it belongs to."""
 
     frames: np.ndarray
-    frame_shift_s: float
     kind: str
 
     def __post_init__(self):
@@ -123,13 +122,13 @@ def _with_deltas(static):
 
 def fbank(w: Waveform) -> FeatureSequence:
     """80 log-mel energies plus first and second order deltas (T x 240)."""
-    return FeatureSequence(_with_deltas(_log_mel(w)), FRAME_SHIFT_S, "fbank")
+    return FeatureSequence(_with_deltas(_log_mel(w)), "fbank")
 
 
 def mfcc(w: Waveform) -> FeatureSequence:
     """16 DCT-II (ortho) cepstra of the log-mel energies plus deltas (T x 48)."""
     ceps = _dct(_log_mel(w), type=2, axis=1, norm="ortho")[:, :N_CEPS]
-    return FeatureSequence(_with_deltas(ceps), FRAME_SHIFT_S, "mfcc")
+    return FeatureSequence(_with_deltas(ceps), "mfcc")
 
 
 def cmvn(f: FeatureSequence) -> FeatureSequence:
@@ -139,4 +138,4 @@ def cmvn(f: FeatureSequence) -> FeatureSequence:
     mu = f.frames.mean(axis=0)
     var = f.frames.var(axis=0)
     out = (f.frames - mu) / np.sqrt(var + 1e-10)
-    return FeatureSequence(out, f.frame_shift_s, f.kind)
+    return FeatureSequence(out, f.kind)

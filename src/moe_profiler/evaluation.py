@@ -8,16 +8,9 @@ from .audio import read_audio
 from .errors import DataError, FormatError
 from .metrics import EvalReport, ImportanceTable, build_report, pct_change
 from .phones import TABLE_ORDER, mask_phone_class, parse_phn
-from .pipeline import predict_records
+from .pipeline import predict_records, record_labels
 
 log = logging.getLogger("moe_profiler.evaluation")
-
-
-def _labels(records):
-    ages = np.array([r.age_years for r in records], dtype=np.float64)
-    heights = np.array([r.height_cm for r in records], dtype=np.float64)
-    genders = np.array([r.gender for r in records], dtype=np.int64)
-    return ages, heights, genders
 
 
 def evaluate(net, norm, records, waves=None) -> EvalReport:
@@ -30,14 +23,14 @@ def evaluate(net, norm, records, waves=None) -> EvalReport:
     """
     if not records:
         raise DataError("no records to evaluate")
-    ages_t, heights_t, genders_t = _labels(records)
+    ages_t, heights_t, genders_t = record_labels(records)
     ages_p, heights_p, genders_p = predict_records(net, norm, records, waves)
     return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
 
 
 def constant_mean_report(norm, records) -> EvalReport:
     """Baseline report for the predictor that always outputs the training means."""
-    ages_t, heights_t, genders_t = _labels(records)
+    ages_t, heights_t, genders_t = record_labels(records)
     ages_p = np.full(len(records), norm.age_mean)
     heights_p = np.full(len(records), norm.height_mean)
     genders_p = np.full(len(records), 0.5)

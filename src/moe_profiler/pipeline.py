@@ -30,6 +30,14 @@ def record_sample(record, wave: Waveform) -> LabeledSample:
     )
 
 
+def record_labels(records):
+    """(ages, heights, genders) label arrays in record order, as predict_records returns predictions."""
+    ages = np.array([r.age_years for r in records], dtype=np.float64)
+    heights = np.array([r.height_cm for r in records], dtype=np.float64)
+    genders = np.array([r.gender for r in records], dtype=np.int64)
+    return ages, heights, genders
+
+
 def align_samples(samples):
     """Tile every waveform in the batch to the longest one's length."""
     max_len = max(len(s.waveform) for s in samples)

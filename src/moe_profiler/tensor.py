@@ -567,10 +567,3 @@ def backward(loss):
                 )
             key = id(parent)
             flow[key] = pg if key not in flow else flow[key] + pg
-
-
-def zero_grads(params):
-    """Clear gradient buffers on an iterable or dict of tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
-        p.zero_grad()

@@ -1,9 +1,9 @@
 """Training loop: uncertainty-weighted multi-task optimization with Adam.
 
-Targets are z-scored with training-split statistics; the best checkpoint is
-chosen by validation total loss (training loss when the validation split is
-empty); early stopping kicks in after `patience` epochs without improvement.
-Runs are deterministic for a fixed config and seed.
+Targets are z-scored with training-split statistics. One predict_records pass
+per epoch gives the validation losses that choose the best checkpoint (else the
+training loss) and, at the best epoch, the validation report. Early stopping
+follows `patience`; runs are deterministic for a fixed config and seed.
 """
 
 import logging
@@ -13,16 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .audio import read_audio
+from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .corpus import iter_batches, split_train_val
 from .errors import DataError, NumericError
 from .losses import mixup, task_losses, uncertainty_loss
-from .metrics import NormStats
-from .model import SpeakerProfiler
+from .metrics import NormStats, build_report
+from .model import ModelOutput, SpeakerProfiler
 from .optim import Adam
-from .pipeline import align_samples, batch_forward, record_sample
-from .tensor import no_grad
-from . import evaluation
+from .pipeline import align_samples, batch_forward, predict_records, record_labels, record_sample
+from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")
 
@@ -61,24 +61,22 @@ class TrainResult:
         return LOG_HEADER + "\n" + "\n".join(r.to_csv() for r in self.log_rows) + "\n"
 
 
-def _losses_to_row(epoch, split, sums, count, net):
+def _losses_to_row(epoch, split, means, net):
     s_h, s_a, s_g = (float(t.data) for t in net.log_vars())
-    lh, la, lg = (s / count for s in sums)
+    lh, la, lg = means
     total = 0.5 * (np.exp(-s_h) * lh + np.exp(-s_a) * la + np.exp(-s_g) * lg) + 0.5 * (s_h + s_a + s_g)
     return EpochRow(epoch, split, float(total), lh, la, lg, s_h, s_a, s_g)
 
 
-def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
-    """One pass over data, logged as a 'train' row when given an optimizer, else 'val'.
+def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
+    """One training pass over data (LabeledSamples), logged as a 'train' row.
 
-    data holds LabeledSamples. A training pass applies dropout and
-    Adam steps, and mixup when given mix_rng; it shuffles with the epoch as
-    salt, a val pass always with 0.
+    Applies dropout and Adam steps, and mixup when given mix_rng; shuffles
+    with the epoch as salt.
     """
-    training = opt is not None
     sums = [0.0, 0.0, 0.0]
     count = 0
-    for batch_i, batch in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch if training else 0)):
+    for batch_i, batch in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch)):
         samples, orig_lens = align_samples(batch)
         if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
             perm = mix_rng.permutation(len(samples))
@@ -86,22 +84,29 @@ def _run_epoch(net, norm, cfg, data, epoch, opt=None, mix_rng=None) -> EpochRow:
             samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
             orig_lens = None  # tiled content is now part of the mixed signal
         lens = orig_lens if cfg.alignment_masking else None
-        out = batch_forward(net, samples, training=training, orig_lens=lens)
+        out = batch_forward(net, samples, training=True, orig_lens=lens)
         losses = task_losses(
             out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples], norm
         )
-        if training:
-            total = uncertainty_loss(*losses, *net.log_vars())
-            if not np.isfinite(total.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_i}")
-            opt.zero_grad()
-            total.backward()
-            opt.step()
+        total = uncertainty_loss(*losses, *net.log_vars())
+        if not np.isfinite(total.data):
+            raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_i}")
+        opt.zero_grad()
+        total.backward()
+        opt.step()
         w = len(samples)
         # a comprehension: a loop variable would keep this batch's graph alive through the next backward
         sums = [acc + float(loss.data) * w for acc, loss in zip(sums, losses)]
         count += w
-    return _losses_to_row(epoch, "train" if training else "val", sums, count, net)
+    return _losses_to_row(epoch, "train", [s / count for s in sums], net)
+
+
+def _val_row(net, norm, epoch, preds, labels) -> EpochRow:
+    """The 'val' row: task losses of predict_records' (ages, heights, genders) against labels in that order."""
+    (ages, heights, genders), (ages_t, heights_t, genders_t) = preds, labels
+    out = ModelOutput(age_z=Tensor(norm.z_age(ages)), height_z=Tensor(norm.z_height(heights)), gender_p=Tensor(genders))
+    losses = task_losses(out, heights_t, ages_t, genders_t, norm)
+    return _losses_to_row(epoch, "val", [float(loss.data) for loss in losses], net)
 
 
 def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
@@ -125,7 +130,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     # every file is read and its rate checked here, before the first step
     train_data = [record_sample(r, read_audio(r.utterance_path)) for r in train_recs]
     val_waves = [read_audio(r.utterance_path) for r in val_recs]
-    val_data = [record_sample(r, wave) for r, wave in zip(val_recs, val_waves)]
+    for r, wave in zip(val_recs, val_waves):
+        record_sample(r, wave)
+    val_labels = record_labels(val_recs)
 
     log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
              len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind)
@@ -134,19 +141,23 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     best_loss = np.inf
     best_epoch = 0
     best_params = {n: p.data.copy() for n, p in net.parameters().items()}
+    preds = best_preds = None
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         rows.append(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
-        if val_data:
-            with no_grad():  # the val pass never calls backward
-                rows.append(_run_epoch(net, norm, cfg, val_data, epoch))
+        if val_recs:
+            preds = predict_records(net, norm, val_recs, val_waves)
+            rows.append(_val_row(net, norm, epoch, preds, val_labels))
+            if not np.isfinite(rows[-1].l_total):
+                raise NumericError(f"non-finite validation loss at epoch {epoch}")
         monitor = rows[-1].l_total
 
         if monitor < best_loss:
             best_loss = monitor
             best_epoch = epoch
             best_params = {n: p.data.copy() for n, p in net.parameters().items()}
+            best_preds = preds
             stale = 0
         else:
             stale += 1
@@ -154,17 +165,12 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
 
-    # restore the best snapshot for the returned state
-    for name, p in net.parameters().items():
-        p.data = best_params[name].copy()
-
     result = TrainResult(cfg=cfg, norm=norm, best_params=best_params, best_epoch=best_epoch, log_rows=rows)
-    if val_recs:
-        result.val_report = evaluation.evaluate(net, norm, val_recs, val_waves)
+    if best_preds is not None:
+        (ages_p, heights_p, genders_p), (ages_t, heights_t, genders_t) = best_preds, val_labels
+        result.val_report = build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
 
     if out_dir is not None:
-        from .checkpoint import save_checkpoint
-
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out_dir / "checkpoint.bemx", cfg, norm, best_params, best_epoch)

@@ -146,6 +146,16 @@ class TestTrainCmd:
         monkeypatch.setattr(training, "train", diverge)
         assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")) == 3
 
+    def test_non_finite_val_loss_exit_3(self, corpus16, tmp_path, monkeypatch, capsys):
+        def nan_predictions(net, norm, records, waves=None):
+            return tuple(np.full(len(records), np.nan) for _ in range(3))
+
+        monkeypatch.setattr(training, "predict_records", nan_predictions)
+        out_dir = tmp_path / "run"
+        assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus16, out_dir, val_fraction=0.3)) == 3
+        assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bemx").exists()
+
     def test_override_changes_config(self, corpus4, tmp_path):
         out_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "cfg.txt", corpus4, out_dir, max_epochs=1)

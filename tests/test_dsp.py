@@ -120,7 +120,7 @@ class TestDelta:
 
 class TestCmvn:
     def seq(self, arr):
-        return FeatureSequence(np.asarray(arr, dtype=np.float64), 0.01, "conv")
+        return FeatureSequence(np.asarray(arr, dtype=np.float64), "conv")
 
     def test_zero_mean_columns(self, rng):
         out = cmvn(self.seq(rng.normal(loc=3.0, size=(50, 7)))).frames

@@ -4,7 +4,6 @@ import pytest
 from moe_profiler.errors import ConfigError, LengthError
 from moe_profiler.frontend import ConvFrontendConfig, frontend_forward, frontend_param_specs
 from moe_profiler.model import init_params
-from moe_profiler.tensor import zero_grads
 from moe_profiler import tensor as T
 
 
@@ -57,7 +56,8 @@ def test_frozen_layers_get_no_gradient(rng):
     x = rng.normal(size=(1, 800)) * 0.2
     out = frontend_forward(params, x, cfg)
     loss = T.sum_(T.mul(out, out))
-    zero_grads(params)
+    for p in params.values():
+        p.zero_grad()
     loss.backward()
     for i in range(7):
         w = params[f"frontend.conv{i}.w"]
@@ -71,7 +71,8 @@ def test_all_layers_trainable_when_unfrozen(rng):
     cfg, params = make_frontend(frozen=0)
     x = rng.normal(size=(1, 800)) * 0.2
     loss = T.sum_(frontend_forward(params, x, cfg))
-    zero_grads(params)
+    for p in params.values():
+        p.zero_grad()
     loss.backward()
     for i in range(7):
         assert params[f"frontend.conv{i}.w"].grad is not None

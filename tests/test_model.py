@@ -13,7 +13,7 @@ from moe_profiler.model import (
     statistical_pooling,
 )
 from moe_profiler.pipeline import align_samples, batch_forward
-from moe_profiler.tensor import Tensor, zero_grads
+from moe_profiler.tensor import Tensor
 
 from .conftest import tiny_config
 from .helpers import FD_EPS, check_op_grads, numeric_grads, rel_err
@@ -109,7 +109,8 @@ class TestGate:
             lambda: gate_predict([v], w, b),
             lambda: T.clip(T.sigmoid(T.add(T.matmul(v, w), b)), GATE_EPS, 1.0 - GATE_EPS),
         ):
-            zero_grads([v, w, b])
+            for t in (v, w, b):
+                t.zero_grad()
             g = gate()
             T.sum_(g).backward()
             results.append([g.data] + [t.grad.copy() for t in (v, w, b)])
@@ -276,7 +277,8 @@ def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720),
         return uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
 
     loss = build()
-    zero_grads(net.parameters())
+    for p in net.parameters().values():
+        p.zero_grad()
     loss.backward()
 
     def f():
@@ -327,7 +329,8 @@ def test_float32_step_keeps_every_gradient_float32(wav_dtype):
     norm = NormStats(40.0, 10.0, 170.0, 8.0)
     l_h, l_a, l_g = task_losses(out, [172.0, 160.0], [33.0, 51.0], [1.0, 0.3], norm)
     loss = uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
-    zero_grads(net.parameters())
+    for p in net.parameters().values():
+        p.zero_grad()
     loss.backward()
     dtypes = {name: p.grad.dtype for name, p in net.parameters().items()}
     assert sum(name.startswith("frontend.") for name in dtypes) == 28

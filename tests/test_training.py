@@ -1,13 +1,20 @@
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
-from moe_profiler.audio import Waveform, read_audio
-from moe_profiler.corpus import iter_batches, scan_corpus, split_train_val
-from moe_profiler.errors import ConfigError, DataError
+from moe_profiler import evaluation, training
+from moe_profiler.audio import Waveform, read_audio, write_wav
+from moe_profiler.corpus import scan_corpus, split_train_val
+from moe_profiler.errors import ConfigError, DataError, FormatError, NumericError
+from moe_profiler.evaluation import evaluate
 from moe_profiler.losses import task_losses
 from moe_profiler.metrics import NormStats
-from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import align_samples, batch_forward, featurize, record_sample
+from moe_profiler.model import ModelOutput, SpeakerProfiler
+from moe_profiler.optim import Adam
+from moe_profiler.pipeline import align_samples, batch_forward, featurize, predict_records, record_sample
+from moe_profiler.tensor import Tensor
 from moe_profiler.training import train
 
 from .conftest import tiny_config
@@ -131,32 +138,89 @@ def test_smallest_model_shape_runs(corpus4_records):
     assert np.all(np.isfinite(batch_forward(SpeakerProfiler(cfg), samples).age_z.data))
 
 
+def _net_from(cfg, params):
+    net = SpeakerProfiler(cfg)
+    for name, p in net.parameters().items():
+        p.data = params[name].copy()
+    return net
+
+
+def _val_records(records, cfg):
+    return split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)[1]
+
+
 def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
-    # the logged val losses must be a plain eval-mode pass over the val split
-    # in iter_batches' epoch-0 order, with the parameters the epoch ended on
+    # the logged val losses are the task losses of predict_records' eval-mode
+    # predictions for the parameters the epoch ended on: no mixup, no dropout,
+    # no dependence on a shuffle or on which records share a batch
     records = scan_corpus(corpus16)
-    # seed 4: epoch 1's shuffle batches the 3 val records differently from epoch 0's,
-    # and the mixup draws would mix a val batch
     cfg = tiny_config(max_epochs=1, batch_size=2, mixup_enabled=True, dropout_p=0.3, val_fraction=0.3, seed=4)
     result = train(cfg, records)
     val_row = next(r for r in result.log_rows if r.split == "val")
 
-    net = SpeakerProfiler(cfg)
-    for name, p in net.parameters().items():
-        p.data = result.best_params[name].copy()
-    _, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
-    sums, count = [0.0, 0.0, 0.0], 0
-    for batch in iter_batches(val_recs, cfg.batch_size, cfg.seed, 0):
-        samples, _ = align_samples([record_sample(r, read_audio(r.utterance_path)) for r in batch])
-        out = batch_forward(net, samples, training=False)
-        losses = task_losses(
-            out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples],
-            result.norm,
-        )
-        for i, loss in enumerate(losses):
-            sums[i] += float(loss.data) * len(samples)
-        count += len(samples)
-    assert (val_row.l_height, val_row.l_age, val_row.l_gender) == tuple(v / count for v in sums)
+    val_recs = _val_records(records, cfg)
+    ages, heights, genders = predict_records(_net_from(cfg, result.best_params), result.norm, val_recs)
+    pred = ModelOutput(
+        age_z=Tensor(result.norm.z_age(ages)), height_z=Tensor(result.norm.z_height(heights)), gender_p=Tensor(genders)
+    )
+    losses = task_losses(
+        pred, [r.height_cm for r in val_recs], [r.age_years for r in val_recs], [r.gender for r in val_recs],
+        result.norm,
+    )
+    assert (val_row.l_height, val_row.l_age, val_row.l_gender) == tuple(float(loss.data) for loss in losses)
+
+
+def test_val_report_is_best_epoch_evaluate_from_one_pass_per_epoch(corpus16, monkeypatch):
+    # an early-stopped run whose best epoch is not its last: the report must
+    # come from the best epoch's predictions, and the val split is predicted
+    # once per epoch with no closing re-forward
+    calls = []
+
+    def counted(module):
+        inner = module.predict_records
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "predict_records", wrapper)
+
+    counted(training)
+    counted(evaluation)
+    records = scan_corpus(corpus16)
+    cfg = tiny_config(max_epochs=6, patience=1, val_fraction=0.3)
+    result = train(cfg, records)
+    val_rows = [r for r in result.log_rows if r.split == "val"]
+    assert result.best_epoch < val_rows[-1].epoch < cfg.max_epochs
+    assert result.best_epoch == min(val_rows, key=lambda r: r.l_total).epoch
+    assert calls == ["moe_profiler.training"] * len(val_rows)
+
+    monkeypatch.undo()
+    want = evaluate(_net_from(cfg, result.best_params), result.norm, _val_records(records, cfg))
+    assert dataclasses.astuple(result.val_report) == dataclasses.astuple(want)
+
+
+def test_non_finite_val_loss_raises(corpus16, monkeypatch):
+    def nan_predictions(net, norm, records, waves=None):
+        return tuple(np.full(len(records), np.nan) for _ in range(3))
+
+    monkeypatch.setattr(training, "predict_records", nan_predictions)
+    with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
+        train(tiny_config(max_epochs=2, val_fraction=0.3), scan_corpus(corpus16))
+
+
+def test_8khz_val_file_rejected_before_first_step(corpus16, tmp_path, monkeypatch):
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus16, copy)
+    cfg = tiny_config(max_epochs=1, val_fraction=0.3)
+    slow = _val_records(scan_corpus(copy), cfg)[-1].utterance_path
+    write_wav(slow, read_audio(slow).samples, 8000)
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+    with pytest.raises(FormatError, match="8000") as info:
+        train(cfg, scan_corpus(copy))
+    assert str(slow) in str(info.value)
+    assert steps == []
 
 
 def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
