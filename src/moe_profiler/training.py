@@ -98,6 +98,7 @@ def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
         # a comprehension: a loop variable would keep this batch's graph alive through the next backward
         sums = [acc + float(loss.data) * w for acc, loss in zip(sums, losses)]
         count += w
+        del out, losses, total  # free this batch's tape before the next forward
     return _losses_to_row(epoch, "train", [s / count for s in sums], net)
 
 

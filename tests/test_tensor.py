@@ -1,3 +1,4 @@
+import resource
 import threading
 import zlib
 
@@ -6,9 +7,15 @@ import pytest
 from scipy.special import erf
 
 from moe_profiler import tensor as T
+from moe_profiler.audio import read_audio
+from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, NumericError, ShapeError
+from moe_profiler.metrics import NormStats
+from moe_profiler.model import SpeakerProfiler
+from moe_profiler.pipeline import align_samples, batch_forward, predict_records, record_sample
 from moe_profiler.tensor import Tensor
 
+from .conftest import tiny_config
 from .helpers import check_op_grads
 
 
@@ -87,6 +94,50 @@ class TestLayerNorm:
         x = rng.normal(scale=3.0, size=(10, 16))
         out = T.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
+
+
+def same_bytes(a, b):
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def layer_norm_reference(x, gain, bias, g):
+    """The whole-array layer_norm formula: forward, then dx, dgain, dbias for upstream g."""
+    avg = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype)
+    xc = x - x @ avg
+    inv = 1.0 / np.sqrt((xc * xc) @ avg + T.LN_EPS)
+    xhat = xc * inv
+    dxh = g * gain
+    dx = inv * (dxh - dxh @ avg - xhat * ((dxh * xhat) @ avg))
+    return xhat * gain + bias, dx, T._sum_to_shape(g * xhat, gain.shape), T._sum_to_shape(g, bias.shape)
+
+
+class TestLayerNormBlocks:
+    # (T, d) items per _BLOCK: one per block (rows not a multiple of 4), several
+    # per block with a partial last block, one item larger than a block, and 2-D
+    SHAPES = {
+        "one_item_per_block": (3, 1443, 64),
+        "several_items_per_block": (50, 101, 32),
+        "item_larger_than_block": (2, 4201, 32),
+        "two_d": (37, 12),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_matches_whole_array_formula_bitwise(self, name, dtype):
+        shape = self.SHAPES[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        x = (rng.normal(scale=3.0, size=shape) + 1.0).astype(dtype)
+        gain = rng.uniform(0.5, 1.5, size=shape[-1]).astype(dtype)
+        bias = rng.normal(size=shape[-1]).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        want = layer_norm_reference(x, gain, bias, g)
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        y = T.layer_norm(xt, gt, bt)
+        T.sum_(T.mul(y, Tensor(g))).backward()
+        with T.no_grad():
+            y_free = T.layer_norm(Tensor(x), gt, bt)
+        for got, ref in zip((y.data, y_free.data, xt.grad, gt.grad, bt.grad), (want[0],) + want):
+            assert same_bytes(got, ref)
 
 
 class TestBackward:
@@ -212,6 +263,15 @@ class TestGelu:
         assert y.shape == (5, 7)
         assert np.array_equal(y.data, T.gelu(ref).data)
         assert np.array_equal(x.grad, ref.grad)
+
+    def test_no_grad_forward_equals_recorded_bitwise(self, rng):
+        x = rng.normal(scale=3.0, size=(3, 2900, 32)).astype(np.float32)
+        recorded = T.gelu(Tensor(x, requires_grad=True))
+        assert recorded.requires_grad
+        with T.no_grad():
+            free = T.gelu(Tensor(x, requires_grad=True))
+        assert not free.requires_grad
+        assert same_bytes(free.data, recorded.data)
 
     def test_blocks_match_per_slice_results_bitwise(self, rng):
         n = int(2.5 * T._BLOCK) + 7
@@ -442,6 +502,29 @@ def test_conv1d_without_input_grad_matches_full_path(rng):
     assert np.array_equal(gb, gb_full)
 
 
+def overlap_add_reference(gcol, shape, stride):
+    """Window gradients summed onto zeros tap by tap, in ascending tap order."""
+    gx = np.zeros(shape, dtype=gcol.dtype)
+    span = stride * (gcol.shape[1] - 1) + 1
+    for kk in range(gcol.shape[2]):
+        gx[:, kk:kk + span:stride, :] += gcol[:, :, kk, :]
+    return gx
+
+
+# kernel < stride (with a last window past the last whole stride-row), == and >
+@pytest.mark.parametrize("k,stride,t", [(2, 3, 11), (2, 3, 8), (1, 4, 9), (2, 2, 9), (5, 5, 25), (3, 2, 2888), (10, 5, 27)])
+def test_conv1d_input_grad_matches_tap_by_tap_scatter_bitwise(k, stride, t, rng):
+    x = rng.normal(size=(3, t, 4)).astype(np.float32)
+    w = rng.normal(size=(k, 4, 6)).astype(np.float32)
+    b = rng.normal(size=6).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    y = T.conv1d(xt, Tensor(w), Tensor(b), stride)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    T.sum_(T.mul(y, Tensor(g))).backward()
+    gcol = (g @ w.reshape(k * 4, 6).T).reshape(3, y.shape[1], k, 4)
+    assert same_bytes(xt.grad, overlap_add_reference(gcol, x.shape, stride))
+
+
 def _bad_op(x, grad_of):
     def vjp(g):
         return (grad_of(g),)
@@ -465,3 +548,31 @@ def test_backward_rejects_gradient_unlike_its_input(grad_of):
 def test_float32_default_and_float64_kept():
     assert Tensor([1, 2]).data.dtype == np.float32
     assert Tensor(np.zeros(2, dtype=np.float64)).data.dtype == np.float64
+
+
+@pytest.mark.skipif(not T._HEAP_KEPT, reason="glibc mallopt unavailable")
+def test_steady_state_steps_take_no_page_faults(corpus16):
+    """Freed activations stay in the process: a repeated step faults in no new pages.
+
+    The step's conv frontend activations are up to a few MB each; with
+    glibc's default thresholds each step took 2.0-4.4k minor faults.
+    """
+    records = scan_corpus(corpus16)
+    net = SpeakerProfiler(tiny_config(conv_channels=32))
+    norm = NormStats.fit(records)
+    waves = [read_audio(r.utterance_path) for r in records]
+    batch, _ = align_samples([record_sample(r, w) for r, w in zip(records, waves)])
+
+    def step():
+        predict_records(net, norm, records, waves)
+        out = batch_forward(net, batch, training=True)
+        T.sum_(T.add(out.age_z, out.height_z)).backward()
+
+    step()
+    step()
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 1000, faults
