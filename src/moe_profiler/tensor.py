@@ -524,25 +524,27 @@ def layer_norm(x, gain, bias):
     return _make(data.reshape(x.shape), (x, gain, bias), vjp)
 
 
-def _overlap_add(gcol, t, stride):
-    """Sum (B, T', K, C) window gradients onto the (B, t, C) samples the windows read.
+def _overlap_add(gcol, t, stride, dtype):
+    """Sum (B, T', K, C) window gradients onto the (B, t, C) dtype samples the windows read.
 
     Tap kk of window j lands on sample stride * j + kk, and every sample
-    sums its taps in ascending kk order. The first min(K, stride) taps never
-    overlap, so they are assigned through a (T', stride) view of the samples
-    instead of added onto zeros; the other taps are then added in order.
+    sums its taps in ascending kk order, bitwise as adding them one by one
+    onto zeros. The first min(K, stride) taps never overlap, so they are
+    written through a (T', stride) view of the samples as 0.0 + tap (which
+    turns -0.0 into 0.0, as adding onto zeros does); the other taps are then
+    added in order.
     """
     bsz, tp, k, cin = gcol.shape
-    gx = np.empty((bsz, t, cin), dtype=gcol.dtype)
+    gx = np.empty((bsz, t, cin), dtype=dtype)
     n = min(k, stride)
     rows = min(tp, t // stride)  # windows whose whole stride-row lies inside the samples
     head = gx[:, : stride * rows].reshape(bsz, rows, stride, cin)
-    head[:, :, :n] = gcol[:, :rows, :n]
+    np.add(gcol[:, :rows, :n], 0.0, out=head[:, :, :n])
     head[:, :, n:] = 0.0  # k < stride: samples between windows
     tail = gx[:, stride * rows :]
     tail[...] = 0.0
     if rows < tp:  # k < stride: the last window starts in a tail shorter than a stride
-        tail[:, :k] = gcol[:, rows]
+        np.add(gcol[:, rows], 0.0, out=tail[:, :k])
     span = stride * (tp - 1) + 1
     for kk in range(n, k):
         gx[:, kk : kk + span : stride] += gcol[:, :, kk]
@@ -580,11 +582,7 @@ def conv1d(x, w, b, stride):
         gb = g.sum(axis=(0, 1))
         gx = None
         if x.requires_grad:  # not for the waveform or a layer above frozen ones
-            gcol = (g @ w2.T).reshape(bsz, tp, k, cin)
-            gx = np.zeros_like(x.data)
-            span = stride * (tp - 1) + 1
-            for kk in range(k):
-                gx[:, kk:kk + span:stride, :] += gcol[:, :, kk, :]
+            gx = _overlap_add((g @ w2.T).reshape(bsz, tp, k, cin), t, stride, x.data.dtype)
         return gx, gw2.reshape(w.shape), gb
 
     return _make(data, (x, w, b), vjp)

@@ -511,8 +511,9 @@ def overlap_add_reference(gcol, shape, stride):
     return gx
 
 
-# kernel < stride (with a last window past the last whole stride-row), == and >
-@pytest.mark.parametrize("k,stride,t", [(2, 3, 11), (2, 3, 8), (1, 4, 9), (2, 2, 9), (5, 5, 25), (3, 2, 2888), (10, 5, 27)])
+# kernel < stride (with a last window past the last whole stride-row), == and >,
+# and > 2 * stride, where one sample sums more than two taps
+@pytest.mark.parametrize("k,stride,t", [(2, 3, 11), (2, 3, 8), (1, 4, 9), (2, 2, 9), (5, 5, 25), (3, 2, 2888), (10, 5, 27), (7, 2, 31)])
 def test_conv1d_input_grad_matches_tap_by_tap_scatter_bitwise(k, stride, t, rng):
     x = rng.normal(size=(3, t, 4)).astype(np.float32)
     w = rng.normal(size=(k, 4, 6)).astype(np.float32)
@@ -523,6 +524,8 @@ def test_conv1d_input_grad_matches_tap_by_tap_scatter_bitwise(k, stride, t, rng)
     T.sum_(T.mul(y, Tensor(g))).backward()
     gcol = (g @ w.reshape(k * 4, 6).T).reshape(3, y.shape[1], k, 4)
     assert same_bytes(xt.grad, overlap_add_reference(gcol, x.shape, stride))
+    gcol[..., ::3] = -0.0  # adding onto zeros makes these 0.0 where no other tap lands
+    assert same_bytes(T._overlap_add(gcol, t, stride, gcol.dtype), overlap_add_reference(gcol, x.shape, stride))
 
 
 def _bad_op(x, grad_of):
