@@ -24,7 +24,7 @@ memory stays mapped until the process exits. The conv frontend's activations
 are several MB each. With glibc's defaults each one is returned to the OS
 when freed, and the next one page-faults its pages in again, zeroed. At the
 quick-start shape, one ``perfbench`` ``analyze`` iteration took a median of
-132k minor page faults and 0.27 s of system time out of 1.66 s of CPU time.
+118k minor page faults and 0.25 s of system time out of 1.62 s of CPU time.
 With the thresholds set it takes about one fault and 0.01 s of system time,
 and its peak RSS does not rise.
 """

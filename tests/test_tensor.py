@@ -558,7 +558,7 @@ def test_steady_state_steps_take_no_page_faults(corpus16):
     """Freed activations stay in the process: a repeated step faults in no new pages.
 
     The step's conv frontend activations are up to a few MB each; with
-    glibc's default thresholds each step took 2.0-4.4k minor faults.
+    glibc's default thresholds a step took 2.0k to 15.7k minor faults.
     """
     records = scan_corpus(corpus16)
     net = SpeakerProfiler(tiny_config(conv_channels=32))
