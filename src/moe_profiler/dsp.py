@@ -10,6 +10,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct as _dct
 
 from .audio import SAMPLE_RATE, Waveform
@@ -55,13 +56,20 @@ def num_frames(n_samples, sample_rate):
     return 1 + (n_samples - flen) // fshift
 
 
+@functools.cache
+def _hamming(flen):
+    """The Hamming window of flen points, built once and shared, so read-only."""
+    window = np.hamming(flen)
+    window.flags.writeable = False
+    return window
+
+
 def frame_signal(w: Waveform):
     """Split a waveform into overlapping Hamming-windowed frames (T x L)."""
     flen = int(round(FRAME_LEN_S * w.sample_rate))
     fshift = int(round(FRAME_SHIFT_S * w.sample_rate))
-    t = num_frames(len(w), w.sample_rate)
-    idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
-    return w.samples[idx] * np.hamming(flen)
+    num_frames(len(w), w.sample_rate)  # raises for a signal shorter than one frame
+    return sliding_window_view(w.samples, flen)[::fshift] * _hamming(flen)
 
 
 def pre_emphasis(x):
@@ -103,16 +111,22 @@ def _log_mel(w: Waveform):
     power = np.abs(np.fft.rfft(frames, NFFT, axis=1)) ** 2
     mel = mel_filterbank(N_MELS, NFFT, w.sample_rate)
     energies = power @ mel.T
-    return np.log(np.maximum(energies, LOG_FLOOR))
+    np.maximum(energies, LOG_FLOOR, out=energies)
+    return np.log(energies, out=energies)
 
 
 def delta(features):
     """First-order regression deltas with a +/-2 window and edge replication."""
     features = np.asarray(features)
     t = features.shape[0]
-    p = np.pad(features, ((2, 2), (0, 0)), mode="edge")
-    num = (p[3 : 3 + t] - p[1 : 1 + t]) + 2.0 * (p[4 : 4 + t] - p[0:t])
-    return num / 10.0
+    first, last = features[:1], features[-1:]
+    p = np.concatenate([first, first, features, last, last])
+    num = p[3 : 3 + t] - p[1 : 1 + t]
+    far = p[4 : 4 + t] - p[0:t]
+    far *= 2.0
+    num += far
+    num /= 10.0
+    return num
 
 
 def _with_deltas(static):
@@ -135,7 +149,9 @@ def cmvn(f: FeatureSequence) -> FeatureSequence:
     """Per-utterance, per-dimension zero mean / unit variance normalization."""
     if f.num_frames < 2:
         raise LengthError(f"cmvn needs at least 2 frames, got {f.num_frames}")
-    mu = f.frames.mean(axis=0)
-    var = f.frames.var(axis=0)
-    out = (f.frames - mu) / np.sqrt(var + 1e-10)
+    out = f.frames - f.frames.mean(axis=0)
+    var = np.square(out).sum(axis=0)
+    var /= f.num_frames
+    var += 1e-10
+    out /= np.sqrt(var, out=var)
     return FeatureSequence(out, f.kind)

@@ -19,16 +19,23 @@ BCE_EPS = 1e-7
 
 @dataclass
 class LabeledSample:
-    """One training item: waveform plus (possibly mixed) labels."""
+    """One item: the model's input plus (possibly mixed) labels.
 
-    waveform: np.ndarray
+    inputs is raw audio (N,) for the conv frontend or feature frames (T, D);
+    n_samples is the audio's length in samples, len(inputs) when omitted.
+    """
+
+    inputs: np.ndarray
     height_cm: float
     age_years: float
     gender: float  # 0 = male, 1 = female, fractional after mixup
+    n_samples: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gender <= 1.0:
             raise ContractError(f"gender must lie in [0, 1], got {self.gender}")
+        if self.n_samples is None:
+            self.n_samples = len(self.inputs)
 
 
 def tile_to(x, n):
@@ -49,17 +56,18 @@ def length_align(x_i, x_j):
 def mixup(sample_i: LabeledSample, sample_j: LabeledSample, lam: float) -> LabeledSample:
     """Convex combination of two samples: lam * i + (1 - lam) * j.
 
-    Waveforms are length-aligned by tiling before mixing; every label uses
+    Inputs are length-aligned by tiling before mixing; every label uses
     the same lam.
     """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"mixup lambda must lie in [0, 1], got {lam}")
-    wi, wj = length_align(sample_i.waveform, sample_j.waveform)
+    wi, wj = length_align(sample_i.inputs, sample_j.inputs)
     return LabeledSample(
-        waveform=lam * wi + (1.0 - lam) * wj,
+        inputs=lam * wi + (1.0 - lam) * wj,
         height_cm=lam * sample_i.height_cm + (1.0 - lam) * sample_j.height_cm,
         age_years=lam * sample_i.age_years + (1.0 - lam) * sample_j.age_years,
         gender=lam * sample_i.gender + (1.0 - lam) * sample_j.gender,
+        n_samples=max(sample_i.n_samples, sample_j.n_samples),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, read_audio
 from .dsp import cmvn, fbank, mfcc
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, LengthError
 from .losses import LabeledSample, tile_to
 from .tensor import no_grad
 
@@ -18,15 +18,28 @@ def featurize(kind, waveform: Waveform) -> np.ndarray:
     raise ConfigError(f"no frame features for kind '{kind}'")
 
 
-def record_sample(record, wave: Waveform) -> LabeledSample:
-    """A record's labels with its audio; the one gate where audio reaches the model."""
+def record_sample(net, record, wave: Waveform) -> LabeledSample:
+    """A record's labels with its model input; the one gate where audio reaches the model.
+
+    The input is computed here, once: the raw samples for the conv frontend,
+    else the record's fbank/mfcc frames in the model's dtype, the audio
+    dropped. The sample keeps the audio's length in samples.
+    """
     if wave.sample_rate != SAMPLE_RATE:
         raise FormatError(f"{record.utterance_path}: sample rate {wave.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
+    kind = net.cfg.feature_kind
+    inputs = wave.samples
+    if kind != "conv":
+        try:
+            inputs = featurize(kind, wave).astype(net.dtype, copy=False)
+        except LengthError as exc:
+            raise LengthError(f"{record.utterance_path}: {exc}") from exc
     return LabeledSample(
-        waveform=wave.samples,
+        inputs=inputs,
         height_cm=record.height_cm,
         age_years=float(record.age_years),
         gender=float(record.gender),
+        n_samples=len(wave),
     )
 
 
@@ -39,44 +52,39 @@ def record_labels(records):
 
 
 def align_samples(samples):
-    """Tile every waveform in the batch to the longest one's length."""
-    max_len = max(len(s.waveform) for s in samples)
-    orig_lens = [len(s.waveform) for s in samples]
+    """Tile every sample's input along its first axis to the longest one's.
+
+    Returns the tiled samples, which all carry the longest audio length, and
+    each sample's own audio length in samples.
+    """
+    longest = max(samples, key=lambda s: s.n_samples)
+    rows = len(longest.inputs)
     aligned = [
-        LabeledSample(tile_to(s.waveform, max_len), s.height_cm, s.age_years, s.gender) for s in samples
+        LabeledSample(tile_to(s.inputs, rows), s.height_cm, s.age_years, s.gender, longest.n_samples)
+        for s in samples
     ]
-    return aligned, orig_lens
+    return aligned, [s.n_samples for s in samples]
 
 
 def batch_forward(net, samples, training=False, orig_lens=None):
-    """Stack aligned samples (audio at SAMPLE_RATE) and run the network once.
+    """Stack aligned samples' inputs and run the network once.
 
-    orig_lens enables alignment masking: attention keys and pooling then
-    ignore frames that exist only because of tiling, and fbank/mfcc are
-    computed from each untiled waveform and tiled as frames, so CMVN sees
-    real frames only. An item's prediction then does not depend on its
-    batch-mates.
+    orig_lens (audio lengths in samples) enables alignment masking:
+    attention keys and pooling then ignore frames that exist only because of
+    tiling, so an item's prediction does not depend on its batch-mates.
     """
-    kind = net.cfg.feature_kind
     frame_mask = None
     if orig_lens is not None:
-        total = len(samples[0].waveform)
+        total = samples[0].n_samples
         t_full = net.frames_for_samples(total)
         frame_mask = np.zeros((len(samples), t_full), dtype=np.float64)
         for i, n in enumerate(orig_lens):
             t_real = min(t_full, net.frames_for_samples(min(n, total)))
             frame_mask[i, :t_real] = 1.0
-    if kind == "conv":
-        wavs = np.stack([s.waveform for s in samples])
-        return net.forward_waveforms(wavs, training=training, frame_mask=frame_mask)
-    if orig_lens is None:
-        feats = [featurize(kind, Waveform(s.waveform, SAMPLE_RATE)) for s in samples]
-    else:
-        feats = [
-            tile_to(featurize(kind, Waveform(s.waveform[:n], SAMPLE_RATE)), t_full)
-            for s, n in zip(samples, orig_lens)
-        ]
-    return net.forward_features(np.stack(feats), training=training, frame_mask=frame_mask)
+    inputs = np.stack([s.inputs for s in samples])
+    if net.cfg.feature_kind == "conv":
+        return net.forward_waveforms(inputs, training=training, frame_mask=frame_mask)
+    return net.forward_features(inputs, training=training, frame_mask=frame_mask)
 
 
 # longest waveform x batch size of one eval forward: at this size the first
@@ -107,11 +115,11 @@ def _length_groups(lengths):
 
 
 def _windows(samples):
-    """Consecutive (index, sample) lists that end once they hold EVAL_WINDOW_SAMPLES samples."""
+    """Consecutive sample lists that end once they hold EVAL_WINDOW_SAMPLES audio samples."""
     window, held = [], 0
-    for item in enumerate(samples):
-        window.append(item)
-        held += len(item[1].waveform)
+    for sample in samples:
+        window.append(sample)
+        held += sample.n_samples
         if held >= EVAL_WINDOW_SAMPLES:
             yield window
             window, held = [], 0
@@ -119,31 +127,40 @@ def _windows(samples):
         yield window
 
 
-def predict_records(net, norm, records, waves=None):
-    """Predict every record in eval mode without recording a tape.
+def predict_samples(net, norm, samples):
+    """Predict prepared samples (see record_sample) in eval mode without recording a tape.
 
-    Records are taken in windows of about EVAL_WINDOW_SAMPLES samples; each
-    window is sorted by length and forwarded in alignment-masked groups of
-    at most EVAL_BATCH_SAMPLES samples (longest x count), so each
-    prediction equals the record's own batch-of-one prediction within
-    float32 rounding. Returns (ages, heights, genders) arrays in record order.
+    Samples are taken in windows of about EVAL_WINDOW_SAMPLES audio samples;
+    each window is sorted by audio length and forwarded in alignment-masked
+    groups of at most EVAL_BATCH_SAMPLES samples (longest x count), so each
+    prediction equals the sample's own batch-of-one prediction within
+    float32 rounding. Returns (ages, heights, genders) arrays in input order.
+    """
+    preds = ([], [], [])
+    with no_grad():
+        for window in _windows(samples):
+            ages, heights, genders = (np.empty(len(window)) for _ in range(3))
+            for group in _length_groups([s.n_samples for s in window]):
+                aligned, orig_lens = align_samples([window[i] for i in group])
+                out = batch_forward(net, aligned, orig_lens=orig_lens)
+                ages[group] = norm.de_age(out.age_z.data)
+                heights[group] = norm.de_height(out.height_z.data)
+                genders[group] = out.gender_p.data
+            for acc, got in zip(preds, (ages, heights, genders)):
+                acc.append(got)
+    return tuple(np.concatenate(acc) if acc else np.empty(0) for acc in preds)
+
+
+def predict_records(net, norm, records, waves=None):
+    """Predict every record with predict_samples, preparing each as its window is read.
 
     waves holds one Waveform per record, in record order (phone masking passes
     altered audio this way), and is consumed one window at a time; when
     omitted, each record's audio is read. A waves of another length than
-    records raises ValueError.
+    records raises ValueError. Returns (ages, heights, genders) arrays in
+    record order.
     """
     if waves is None:
         waves = (read_audio(r.utterance_path) for r in records)
-    samples = (record_sample(record, wave) for record, wave in zip(records, waves, strict=True))
-    ages, heights, genders = (np.empty(len(records)) for _ in range(3))
-    with no_grad():
-        for window in _windows(samples):
-            for group in _length_groups([len(s.waveform) for _, s in window]):
-                idx = [window[g][0] for g in group]
-                aligned, orig_lens = align_samples([window[g][1] for g in group])
-                out = batch_forward(net, aligned, orig_lens=orig_lens)
-                ages[idx] = norm.de_age(out.age_z.data)
-                heights[idx] = norm.de_height(out.height_z.data)
-                genders[idx] = out.gender_p.data
-    return ages, heights, genders
+    samples = (record_sample(net, record, wave) for record, wave in zip(records, waves, strict=True))
+    return predict_samples(net, norm, samples)

@@ -454,11 +454,12 @@ def matmul(a, b):
 def softmax_rows(x):
     """Row-wise softmax over the last axis, computed with max subtraction."""
     x = _as_tensor(x)
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
     m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+    if np.isnan(m).any():  # the row max is NaN exactly where a row holds one
+        raise NumericError("softmax input contains NaN")
+    s = np.subtract(x.data, m)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * s).sum(axis=-1, keepdims=True)

@@ -1,9 +1,10 @@
 """Training loop: uncertainty-weighted multi-task optimization with Adam.
 
-Targets are z-scored with training-split statistics. One predict_records pass
-per epoch gives the validation losses that choose the best checkpoint (else the
-training loss) and, at the best epoch, the validation report. Early stopping
-follows `patience`; runs are deterministic for a fixed config and seed.
+Targets are z-scored with training-split statistics. Every record's model
+input is prepared once per run. One predict_samples pass per epoch gives the
+validation losses that choose the best checkpoint (else the training loss)
+and, at the best epoch, the validation report. Early stopping follows
+`patience`; runs are deterministic for a fixed config and seed.
 """
 
 import logging
@@ -21,7 +22,7 @@ from .losses import mixup, task_losses, uncertainty_loss
 from .metrics import NormStats, build_report
 from .model import ModelOutput, SpeakerProfiler
 from .optim import Adam
-from .pipeline import align_samples, batch_forward, predict_records, record_labels, record_sample
+from .pipeline import align_samples, batch_forward, predict_samples, record_labels, record_sample
 from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")
@@ -103,7 +104,7 @@ def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
 
 
 def _val_row(net, norm, epoch, preds, labels) -> EpochRow:
-    """The 'val' row: task losses of predict_records' (ages, heights, genders) against labels in that order."""
+    """The 'val' row: task losses of predict_samples' (ages, heights, genders) against labels in that order."""
     (ages, heights, genders), (ages_t, heights_t, genders_t) = preds, labels
     out = ModelOutput(age_z=Tensor(norm.z_age(ages)), height_z=Tensor(norm.z_height(heights)), gender_p=Tensor(genders))
     losses = task_losses(out, heights_t, ages_t, genders_t, norm)
@@ -128,11 +129,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     opt = Adam(net.parameters(), lr=cfg.lr)
     use_mixup = cfg.mixup_enabled and cfg.feature_kind == "conv"  # mixup mixes raw waveforms
     mix_rng = np.random.default_rng([cfg.seed, 7919]) if use_mixup else None
-    # every file is read and its rate checked here, before the first step
-    train_data = [record_sample(r, read_audio(r.utterance_path)) for r in train_recs]
-    val_waves = [read_audio(r.utterance_path) for r in val_recs]
-    for r, wave in zip(val_recs, val_waves):
-        record_sample(r, wave)
+    # every file is read, checked and featurized here, once per run and before the first step
+    train_data = [record_sample(net, r, read_audio(r.utterance_path)) for r in train_recs]
+    val_data = [record_sample(net, r, read_audio(r.utterance_path)) for r in val_recs]
     val_labels = record_labels(val_recs)
 
     log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
@@ -148,7 +147,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     for epoch in range(1, cfg.max_epochs + 1):
         rows.append(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
         if val_recs:
-            preds = predict_records(net, norm, val_recs, val_waves)
+            preds = predict_samples(net, norm, val_data)
             rows.append(_val_row(net, norm, epoch, preds, val_labels))
             if not np.isfinite(rows[-1].l_total):
                 raise NumericError(f"non-finite validation loss at epoch {epoch}")

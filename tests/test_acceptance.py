@@ -200,9 +200,9 @@ def test_criterion_05_mixup_properties(rng):
         si = LabeledSample(rng.normal(size=6), 170.0, 30.0, 0.0)
         sj = LabeledSample(rng.normal(size=6), 160.0, 50.0, 1.0)
         m1 = mixup(si, sj, 1.0)
-        assert np.array_equal(m1.waveform, si.waveform) and m1.height_cm == 170.0
+        assert np.array_equal(m1.inputs, si.inputs) and m1.height_cm == 170.0
         m0 = mixup(si, sj, 0.0)
-        assert np.array_equal(m0.waveform, sj.waveform) and m0.height_cm == 160.0
+        assert np.array_equal(m0.inputs, sj.inputs) and m0.height_cm == 160.0
         assert mixup(si, sj, 0.5).height_cm == 165.0
 
         for _ in range(1000):
@@ -214,7 +214,7 @@ def test_criterion_05_mixup_properties(rng):
             lam = float(rng.random())
             f = mixup(si, sj, lam)
             r = mixup(sj, si, 1.0 - lam)
-            assert np.allclose(f.waveform, r.waveform, atol=1e-12)
+            assert np.allclose(f.inputs, r.inputs, atol=1e-12)
             assert abs(f.height_cm - r.height_cm) < 1e-9
             assert abs(f.age_years - r.age_years) < 1e-9
             assert abs(f.gender - r.gender) < 1e-9

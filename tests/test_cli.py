@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from moe_profiler.audio import read_audio, write_wav
-from moe_profiler.checkpoint import load_checkpoint
+from moe_profiler.checkpoint import load_checkpoint, save_checkpoint
+from moe_profiler.corpus import scan_corpus
+from moe_profiler.metrics import NormStats
+from moe_profiler.model import SpeakerProfiler
 from moe_profiler import training
 from moe_profiler.cli import main
 from moe_profiler.errors import NumericError
 
+from .conftest import tiny_config
 from .helpers import tone_wave, write_sphere
 from .test_checkpoint import write_corrupt_config_checkpoint
 
@@ -147,10 +151,10 @@ class TestTrainCmd:
         assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")) == 3
 
     def test_non_finite_val_loss_exit_3(self, corpus16, tmp_path, monkeypatch, capsys):
-        def nan_predictions(net, norm, records, waves=None):
-            return tuple(np.full(len(records), np.nan) for _ in range(3))
+        def nan_predictions(net, norm, samples):
+            return tuple(np.full(len(samples), np.nan) for _ in range(3))
 
-        monkeypatch.setattr(training, "predict_records", nan_predictions)
+        monkeypatch.setattr(training, "predict_samples", nan_predictions)
         out_dir = tmp_path / "run"
         assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus16, out_dir, val_fraction=0.3)) == 3
         assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
@@ -232,6 +236,21 @@ class TestEvaluateCmd:
         assert run("train", "--config", cfg) == 2
         assert str(slow["TRAIN"]) in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+
+    def test_too_short_audio_exit_2_names_file(self, trained, tmp_path, capsys):
+        corpus, _ = trained
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        short = sorted((copy / "TEST").rglob("*.WAV"))[0]
+        write_wav(short, read_audio(short).samples[:500], 16000)
+        cfg = tiny_config(feature_kind="fbank")
+        ckpt = tmp_path / "fbank.bemx"
+        net = SpeakerProfiler(cfg)
+        save_checkpoint(ckpt, cfg, NormStats.fit(scan_corpus(corpus)), net.parameters())
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", ckpt, "--corpus", copy, "--out", tmp_path / "e.csv") == 2
+        err = capsys.readouterr().err
+        assert str(short) in err and "cmvn needs at least 2 frames" in err
 
     def test_corrupt_checkpoint_config_exit_1(self, trained, tmp_path, capsys):
         corpus, _ = trained

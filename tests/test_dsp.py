@@ -160,3 +160,40 @@ def test_features_pure_function():
     w = wave(tone_wave(640.0, 0.2))
     assert np.array_equal(fbank(w).frames, fbank(w).frames)
     assert np.array_equal(mfcc(w).frames, mfcc(w).frames)
+
+
+def _frozen_features(kind, w):
+    """fbank/mfcc + CMVN as first written: gather-index framing, np.pad deltas, out-of-place floor and CMVN."""
+    x = np.empty_like(w.samples)
+    x[0] = w.samples[0]
+    x[1:] = w.samples[1:] - 0.97 * w.samples[:-1]
+    t = 1 + (len(x) - 400) // 160
+    idx = 160 * np.arange(t)[:, None] + np.arange(400)[None, :]
+    frames = x[idx] * np.hamming(400)
+    power = np.abs(np.fft.rfft(frames, 512, axis=1)) ** 2
+    static = np.log(np.maximum(power @ mel_filterbank(80, 512, 16000).T, 1e-10))
+    if kind == "mfcc":
+        static = scipy_dct(static, type=2, axis=1, norm="ortho")[:, :16]
+
+    def old_delta(f):
+        p = np.pad(f, ((2, 2), (0, 0)), mode="edge")
+        n = f.shape[0]
+        return ((p[3 : 3 + n] - p[1 : 1 + n]) + 2.0 * (p[4 : 4 + n] - p[0:n])) / 10.0
+
+    d1 = old_delta(static)
+    feats = np.concatenate([static, d1, old_delta(d1)], axis=1)
+    return (feats - feats.mean(axis=0)) / np.sqrt(feats.var(axis=0) + 1e-10)
+
+
+@pytest.mark.parametrize("n", [560, 561, 719, 720, 7700, 12000, 15000, 48000])
+def test_features_bytewise_equal_frozen_formulas(n):
+    w = wave(np.random.default_rng(n).uniform(-0.5, 0.5, n))
+    assert cmvn(fbank(w)).frames.tobytes() == _frozen_features("fbank", w).tobytes()
+    assert cmvn(mfcc(w)).frames.tobytes() == _frozen_features("mfcc", w).tobytes()
+
+
+def test_cmvn_leaves_its_input_unchanged(rng):
+    frames = rng.normal(size=(20, 6))
+    seq = FeatureSequence(frames.copy(), "other")
+    cmvn(seq)
+    assert np.array_equal(seq.frames, frames)

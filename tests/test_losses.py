@@ -162,7 +162,7 @@ class TestMixup:
         si = sample(rng.normal(size=6), 170.0, 30.0, 0.0)
         sj = sample(rng.normal(size=6), 160.0, 50.0, 1.0)
         m = mixup(si, sj, 1.0)
-        assert np.array_equal(m.waveform, si.waveform)
+        assert np.array_equal(m.inputs, si.inputs)
         assert (m.height_cm, m.age_years, m.gender) == (170.0, 30.0, 0.0)
 
     def test_midpoint_arithmetic(self, rng):
@@ -176,7 +176,7 @@ class TestMixup:
     def test_waveform_combination(self, rng):
         wi, wj = rng.normal(size=5), rng.normal(size=5)
         m = mixup(sample(wi, 170, 30, 0), sample(wj, 160, 50, 1), 0.25)
-        assert np.allclose(m.waveform, 0.25 * wi + 0.75 * wj)
+        assert np.allclose(m.inputs, 0.25 * wi + 0.75 * wj)
 
     def test_symmetry(self, rng):
         for _ in range(50):
@@ -186,7 +186,7 @@ class TestMixup:
             lam = float(rng.random())
             a = mixup(si, sj, lam)
             b = mixup(sj, si, 1.0 - lam)
-            assert np.allclose(a.waveform, b.waveform)
+            assert np.allclose(a.inputs, b.inputs)
             assert abs(a.height_cm - b.height_cm) < 1e-9
             assert abs(a.age_years - b.age_years) < 1e-9
             assert abs(a.gender - b.gender) < 1e-9

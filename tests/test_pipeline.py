@@ -28,8 +28,12 @@ def records16(corpus16):
 
 
 @pytest.fixture(scope="module")
-def samples16(records16):
-    return [record_sample(r, read_audio(r.utterance_path)) for r in records16]
+def waves16(records16):
+    return [read_audio(r.utterance_path) for r in records16]
+
+
+def prepare(net, records, waves):
+    return [record_sample(net, r, w) for r, w in zip(records, waves)]
 
 
 def per_utterance(net, samples):
@@ -39,9 +43,10 @@ def per_utterance(net, samples):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_masked_batch_equals_per_utterance(samples16, name):
+def test_masked_batch_equals_per_utterance(records16, waves16, name):
     net = SpeakerProfiler(tiny_config(**CONFIGS[name]))
-    assert len({len(s.waveform) for s in samples16}) > 1
+    samples16 = prepare(net, records16, waves16)
+    assert len({s.n_samples for s in samples16}) > 1
     aligned, orig_lens = align_samples(samples16)
     batched = batch_forward(net, aligned, orig_lens=orig_lens)
     want = per_utterance(net, samples16)
@@ -50,13 +55,14 @@ def test_masked_batch_equals_per_utterance(samples16, name):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_predict_records_batches_and_equals_per_utterance(records16, samples16, name, monkeypatch):
+def test_predict_records_batches_and_equals_per_utterance(records16, waves16, name, monkeypatch):
     net = SpeakerProfiler(tiny_config(**CONFIGS[name]))
     norm = NormStats.fit(records16)
     batches = []
 
     def recording_forward(net, samples, **kwargs):
-        batches.append([len(s.waveform) for s in samples])
+        # every aligned sample carries the longest audio length; the group's lengths come from orig_lens
+        batches.append(kwargs["orig_lens"])
         return batch_forward(net, samples, **kwargs)
 
     monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
@@ -66,34 +72,38 @@ def test_predict_records_batches_and_equals_per_utterance(records16, samples16, 
     assert len(batches) < len(records16)
     assert sum(len(b) for b in batches) == len(records16)
     for b in batches:
-        assert len(b) == 1 or len(b) * b[0] <= pipeline.EVAL_BATCH_SAMPLES  # tiled to the longest
-    assert [b[0] for b in batches] == sorted(b[0] for b in batches)
-    want = per_utterance(net, samples16)
+        assert len(b) == 1 or len(b) * max(b) <= pipeline.EVAL_BATCH_SAMPLES  # tiled to the longest
+    assert all(b == sorted(b) for b in batches)
+    assert [b[-1] for b in batches] == sorted(b[-1] for b in batches)
+    want = per_utterance(net, prepare(net, records16, waves16))
     np.testing.assert_allclose(ages, norm.de_age(want["age_z"]), rtol=1e-5)
     np.testing.assert_allclose(heights, norm.de_height(want["height_z"]), rtol=1e-5)
     np.testing.assert_allclose(genders, want["gender_p"], rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["conv", "fbank"])
-def test_tiled_samples_do_not_reach_the_shorter_prediction(samples16, kind, rng):
+def test_tiled_samples_do_not_reach_the_shorter_prediction(records16, waves16, kind, rng):
     net = SpeakerProfiler(tiny_config(feature_kind=kind))
-    pair = sorted(samples16[:2], key=lambda s: len(s.waveform))
+    pair = sorted(prepare(net, records16[:2], waves16[:2]), key=lambda s: s.n_samples)
     aligned, orig_lens = align_samples(pair)
     assert orig_lens[0] < orig_lens[1]
     before = batch_forward(net, aligned, orig_lens=orig_lens)
 
-    short = aligned[0].waveform.copy()
-    short[orig_lens[0]:] = rng.uniform(-0.5, 0.5, len(short) - orig_lens[0])
-    aligned[0] = dataclasses.replace(aligned[0], waveform=short)
+    # overwrite what tiling added: audio samples for conv, feature frames for fbank
+    short = aligned[0].inputs.copy()
+    real = len(pair[0].inputs)
+    short[real:] = rng.uniform(-0.5, 0.5, short[real:].shape)
+    aligned[0] = dataclasses.replace(aligned[0], inputs=short)
     after = batch_forward(net, aligned, orig_lens=orig_lens)
     for f in FIELDS:
         assert getattr(after, f).data[0] == getattr(before, f).data[0], f
 
 
-def test_predict_records_reads_one_window_at_a_time(records16, samples16, monkeypatch):
+def test_predict_records_reads_one_window_at_a_time(records16, waves16, monkeypatch):
     net = SpeakerProfiler(tiny_config())
     norm = NormStats.fit(records16)
-    lengths = [len(s.waveform) for s in samples16]
+    samples16 = prepare(net, records16, waves16)
+    lengths = [s.n_samples for s in samples16]
     monkeypatch.setattr(pipeline, "EVAL_WINDOW_SAMPLES", 3 * max(lengths))
     read = []
     forwards_after = []

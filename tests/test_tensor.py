@@ -68,6 +68,21 @@ class TestSoftmax:
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             T.softmax_rows(Tensor([[np.nan, 0.0]]))
+        x = np.zeros((2, 3, 5), dtype=np.float32)
+        x[1, 2, 4] = np.nan
+        with pytest.raises(NumericError):
+            T.softmax_rows(Tensor(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_the_max_subtracted_formula(self, rng, dtype):
+        x = rng.normal(scale=4.0, size=(3, 2, 7, 7)).astype(dtype)
+        x[0, 1, 2, 5] = -np.inf  # a masked key
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = T.softmax_rows(Tensor(x)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert got[0, 1, 2, 5] == 0.0
 
 
 class TestLayerNorm:
@@ -564,7 +579,7 @@ def test_steady_state_steps_take_no_page_faults(corpus16):
     net = SpeakerProfiler(tiny_config(conv_channels=32))
     norm = NormStats.fit(records)
     waves = [read_audio(r.utterance_path) for r in records]
-    batch, _ = align_samples([record_sample(r, w) for r, w in zip(records, waves)])
+    batch, _ = align_samples([record_sample(net, r, w) for r, w in zip(records, waves)])
 
     def step():
         predict_records(net, norm, records, waves)

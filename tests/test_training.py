@@ -4,12 +4,12 @@ import shutil
 import numpy as np
 import pytest
 
-from moe_profiler import evaluation, training
-from moe_profiler.audio import Waveform, read_audio, write_wav
+from moe_profiler import evaluation, pipeline, training
+from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.corpus import scan_corpus, split_train_val
-from moe_profiler.errors import ConfigError, DataError, FormatError, NumericError
+from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import task_losses
+from moe_profiler.losses import task_losses, tile_to
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
@@ -91,9 +91,9 @@ def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
     # shorter item's prediction changes, the longest item (no tiled frames)
     # is unaffected
     net = SpeakerProfiler(tiny_config(alignment_masking=True))
-    samples = [record_sample(r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
-    assert len(samples[0].waveform) != len(samples[1].waveform)
-    shorter = 0 if len(samples[0].waveform) < len(samples[1].waveform) else 1
+    samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
+    assert samples[0].n_samples != samples[1].n_samples
+    shorter = 0 if samples[0].n_samples < samples[1].n_samples else 1
     aligned, orig_lens = align_samples(samples)
 
     masked = batch_forward(net, aligned, orig_lens=orig_lens)
@@ -103,7 +103,7 @@ def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
     assert float(masked.age_z.data[longest]) == float(unmasked.age_z.data[longest])
 
     # mask rows count exactly the frames the pipeline yields per original length
-    total = len(aligned[0].waveform)
+    total = aligned[0].n_samples
     t_full = net.frames_for_samples(total)
     for n in orig_lens:
         assert net.frames_for_samples(n) <= t_full
@@ -134,8 +134,9 @@ def test_impossible_model_shape_rejected(key, value):
 
 def test_smallest_model_shape_runs(corpus4_records):
     cfg = tiny_config(model_dim=2, num_heads=1, ff_dim=1, expert_dim=1, head_hidden=1, num_layers=0, conv_channels=2)
-    samples, _ = align_samples([record_sample(r, read_audio(r.utterance_path)) for r in corpus4_records[:2]])
-    assert np.all(np.isfinite(batch_forward(SpeakerProfiler(cfg), samples).age_z.data))
+    net = SpeakerProfiler(cfg)
+    samples, _ = align_samples([record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]])
+    assert np.all(np.isfinite(batch_forward(net, samples).age_z.data))
 
 
 def _net_from(cfg, params):
@@ -176,17 +177,17 @@ def test_val_report_is_best_epoch_evaluate_from_one_pass_per_epoch(corpus16, mon
     # once per epoch with no closing re-forward
     calls = []
 
-    def counted(module):
-        inner = module.predict_records
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(module.__name__)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(module, "predict_records", wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted(training)
-    counted(evaluation)
+    counted(training, "predict_samples")
+    counted(evaluation, "predict_records")
     records = scan_corpus(corpus16)
     cfg = tiny_config(max_epochs=6, patience=1, val_fraction=0.3)
     result = train(cfg, records)
@@ -201,10 +202,10 @@ def test_val_report_is_best_epoch_evaluate_from_one_pass_per_epoch(corpus16, mon
 
 
 def test_non_finite_val_loss_raises(corpus16, monkeypatch):
-    def nan_predictions(net, norm, records, waves=None):
-        return tuple(np.full(len(records), np.nan) for _ in range(3))
+    def nan_predictions(net, norm, samples):
+        return tuple(np.full(len(samples), np.nan) for _ in range(3))
 
-    monkeypatch.setattr(training, "predict_records", nan_predictions)
+    monkeypatch.setattr(training, "predict_samples", nan_predictions)
     with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
         train(tiny_config(max_epochs=2, val_fraction=0.3), scan_corpus(corpus16))
 
@@ -224,14 +225,60 @@ def test_8khz_val_file_rejected_before_first_step(corpus16, tmp_path, monkeypatc
 
 
 def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
-    # the stacked features reach a float64 model unrounded, as waveforms reach a conv model
+    # default mode: each utterance is featurized from its own audio and tiled
+    # as frames to the longest; the frames reach a float64 model unrounded
     net = SpeakerProfiler(tiny_config(feature_kind="fbank"), dtype=np.float64)
     waves = [read_audio(r.utterance_path) for r in corpus4_records[:2]]
-    samples, _ = align_samples([record_sample(r, w) for r, w in zip(corpus4_records[:2], waves)])
-    feats = np.stack([featurize("fbank", Waveform(s.waveform, waves[0].sample_rate)) for s in samples])
+    assert len(waves[0]) != len(waves[1])
+    samples, _ = align_samples([record_sample(net, r, w) for r, w in zip(corpus4_records[:2], waves)])
+    frames = [featurize("fbank", w) for w in waves]
+    longest = max(len(f) for f in frames)
+    feats = np.stack([tile_to(f, longest) for f in frames])
     assert feats.dtype == np.float64
     got = batch_forward(net, samples)
     want = net.forward_features(feats)
     for field in ("age_z", "height_z", "gender_p"):
         assert getattr(got, field).data.dtype == np.float64
         assert np.array_equal(getattr(got, field).data, getattr(want, field).data), field
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_fbank_featurizes_each_record_once_per_run(corpus16, epochs, monkeypatch):
+    records = scan_corpus(corpus16)
+    cfg = tiny_config(feature_kind="fbank", max_epochs=epochs, val_fraction=0.3)
+    featurized = []
+    inner = pipeline.featurize
+
+    def counted(kind, wave):
+        featurized.append(len(wave))
+        return inner(kind, wave)
+
+    monkeypatch.setattr(pipeline, "featurize", counted)
+    result = train(cfg, records)
+    assert len(result.log_rows) == 2 * epochs
+    train_recs, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
+    assert val_recs
+    assert sorted(featurized) == sorted(len(read_audio(r.utterance_path)) for r in train_recs + val_recs)
+
+
+def test_fbank_stores_frames_in_the_model_dtype(corpus4_records):
+    record = corpus4_records[0]
+    wave = read_audio(record.utterance_path)
+    sample = record_sample(SpeakerProfiler(tiny_config(feature_kind="fbank")), record, wave)
+    assert sample.inputs.dtype == np.float32
+    assert np.array_equal(sample.inputs, featurize("fbank", wave).astype(np.float32))
+    assert sample.n_samples == len(wave)
+
+
+def test_too_short_file_named_before_first_step(corpus16, tmp_path, monkeypatch):
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus16, copy)
+    cfg = tiny_config(feature_kind="fbank", max_epochs=1)
+    short = sorted((copy / "TRAIN").rglob("*.WAV"))[-1]
+    write_wav(short, read_audio(short).samples[:500], 16000)
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+    with pytest.raises(LengthError, match="cmvn needs at least 2 frames") as info:
+        train(cfg, scan_corpus(copy))
+    assert str(short) in str(info.value)
+    assert steps == []
