@@ -98,7 +98,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConfigError(f"{path}: unsupported checkpoint format version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length", path))
         cfg_text = _read_text(f, cfg_len, "config", path)
-        cfg = config_from_items(parse_config_text(cfg_text))
+        items = parse_config_text(cfg_text)
+        # older checkpoints store the removed training switch alignment_masking;
+        # it never changed a parameter shape or an inference result, so it is dropped
+        items.pop("alignment_masking", None)
+        cfg = config_from_items(items)
         norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats", path)))
         (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch", path))
         (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count", path))

@@ -51,7 +51,6 @@ class TrainConfig:
     # training control
     patience: int = 20
     val_fraction: float = 0.15
-    alignment_masking: bool = False
 
     def __post_init__(self):
         if self.feature_kind not in FEATURE_KINDS:

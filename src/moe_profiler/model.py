@@ -48,21 +48,17 @@ def statistical_pooling(frames, frame_mask=None):
     if frames.ndim != 3:
         raise ShapeError(f"pooling expects (B, T, D) frames, got {frames.shape}")
     b, t, d = frames.shape
-    if frame_mask is None:
-        inv = np.full((b, 1), 1.0 / t, dtype=frames.data.dtype)
-        mean = T.mul(T.sum_(frames, axis=1), inv)
-        mean_sq = T.mul(T.sum_(T.mul(frames, frames), axis=1), inv)
-    else:
-        mask = np.asarray(frame_mask, dtype=frames.data.dtype)
-        if mask.shape != (b, t):
-            raise ShapeError(f"frame mask shape {mask.shape} does not match frames {(b, t)}")
-        counts = mask.sum(axis=1, keepdims=True)
-        if (counts <= 0).any():
-            raise ShapeError("frame mask leaves an utterance with no frames")
-        inv = (1.0 / counts).astype(frames.data.dtype)
-        m3 = Tensor(mask[:, :, None])
-        mean = T.mul(T.sum_(T.mul(frames, m3), axis=1), inv)
-        mean_sq = T.mul(T.sum_(T.mul(T.mul(frames, frames), m3), axis=1), inv)
+    dtype = frames.data.dtype
+    mask = np.ones((b, t), dtype=dtype) if frame_mask is None else np.asarray(frame_mask, dtype=dtype)
+    if mask.shape != (b, t):
+        raise ShapeError(f"frame mask shape {mask.shape} does not match frames {(b, t)}")
+    counts = mask.sum(axis=1, keepdims=True)
+    if (counts <= 0).any():
+        raise ShapeError("frame mask leaves an utterance with no frames")
+    inv = (1.0 / counts).astype(dtype)
+    m3 = Tensor(mask[:, :, None])
+    mean = T.mul(T.sum_(T.mul(frames, m3), axis=1), inv)
+    mean_sq = T.mul(T.sum_(T.mul(T.mul(frames, frames), m3), axis=1), inv)
     var = T.relu(T.sub(mean_sq, T.mul(mean, mean)))  # clamp tiny negatives from rounding
     std = T.sqrt(var)
     return T.concat([mean, std], axis=1)
@@ -196,7 +192,7 @@ class SpeakerProfiler:
     def _ln(self, x, name):
         return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _mha(self, x, base, key_bias=None):
+    def _mha(self, x, base, key_bias):
         """Multi-head self-attention; key_bias (B, 1, 1, T) is added to every query's key scores."""
         b, t, d = x.shape
         h = self.cfg.num_heads
@@ -208,10 +204,7 @@ class SpeakerProfiler:
         q = split(self._lin(x, f"{base}.wq"))
         k = split(self._lin(x, f"{base}.wk"))
         v = split(self._lin(x, f"{base}.wv"))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-        if key_bias is not None:
-            scores = T.add(scores, key_bias)
-        attn = T.softmax_rows(scores)
+        attn = T.softmax_rows(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk), key_bias)
         ctx = T.matmul(attn, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return self._lin(ctx, f"{base}.wo")
@@ -219,19 +212,16 @@ class SpeakerProfiler:
     def transformer_encoder(self, x, prefix, training=False, frame_mask=None):
         """Pre-norm self-attention stack; preserves (B, T, model_dim).
 
-        frame_mask: optional (B, T) 0/1 array; frames marked 0 are hidden from
-        attention as keys by an additive -inf (key-padding mask), so the
-        frames marked 1 see only each other.
+        frame_mask: optional (B, T) 0/1 array (all frames real when None);
+        frames marked 0 are hidden from attention as keys by an additive -inf
+        (key-padding mask), so the frames marked 1 see only each other.
         """
         if x.shape[1] == 0:
             raise LengthError("encoder needs at least one frame")
-        key_bias = None
-        if frame_mask is not None:
-            frame_mask = np.asarray(frame_mask)
-            if frame_mask.shape != x.shape[:2]:
-                raise ShapeError(f"frame mask shape {frame_mask.shape} does not match frames {x.shape[:2]}")
-            bias = np.where(frame_mask > 0, 0.0, -np.inf).astype(x.data.dtype)
-            key_bias = Tensor(bias[:, None, None, :])
+        frame_mask = np.ones(x.shape[:2]) if frame_mask is None else np.asarray(frame_mask)
+        if frame_mask.shape != x.shape[:2]:
+            raise ShapeError(f"frame mask shape {frame_mask.shape} does not match frames {x.shape[:2]}")
+        key_bias = np.where(frame_mask > 0, 0.0, -np.inf).astype(x.data.dtype)[:, None, None, :]
         for l in range(self.cfg.num_layers):
             base = f"{prefix}.enc.l{l}"
             att = self._mha(self._ln(x, f"{base}.ln1"), f"{base}.attn", key_bias)

@@ -66,22 +66,18 @@ def align_samples(samples):
     return aligned, [s.n_samples for s in samples]
 
 
-def batch_forward(net, samples, training=False, orig_lens=None):
-    """Stack aligned samples' inputs and run the network once.
+def batch_forward(net, samples, training=False):
+    """Align samples (see align_samples), stack their inputs and run the network once.
 
-    orig_lens (audio lengths in samples) enables alignment masking:
-    attention keys and pooling then ignore frames that exist only because of
+    Attention keys and pooling ignore the frames that exist only because of
     tiling, so an item's prediction does not depend on its batch-mates.
     """
-    frame_mask = None
-    if orig_lens is not None:
-        total = samples[0].n_samples
-        t_full = net.frames_for_samples(total)
-        frame_mask = np.zeros((len(samples), t_full), dtype=np.float64)
-        for i, n in enumerate(orig_lens):
-            t_real = min(t_full, net.frames_for_samples(min(n, total)))
-            frame_mask[i, :t_real] = 1.0
-    inputs = np.stack([s.inputs for s in samples])
+    aligned, orig_lens = align_samples(samples)
+    t_full = net.frames_for_samples(aligned[0].n_samples)
+    frame_mask = np.zeros((len(aligned), t_full), dtype=np.float64)
+    for row, n in zip(frame_mask, orig_lens):
+        row[: net.frames_for_samples(n)] = 1.0
+    inputs = np.stack([s.inputs for s in aligned])
     if net.cfg.feature_kind == "conv":
         return net.forward_waveforms(inputs, training=training, frame_mask=frame_mask)
     return net.forward_features(inputs, training=training, frame_mask=frame_mask)
@@ -141,8 +137,7 @@ def predict_samples(net, norm, samples):
         for window in _windows(samples):
             ages, heights, genders = (np.empty(len(window)) for _ in range(3))
             for group in _length_groups([s.n_samples for s in window]):
-                aligned, orig_lens = align_samples([window[i] for i in group])
-                out = batch_forward(net, aligned, orig_lens=orig_lens)
+                out = batch_forward(net, [window[i] for i in group])
                 ages[group] = norm.de_age(out.age_z.data)
                 heights[group] = norm.de_height(out.height_z.data)
                 genders[group] = out.gender_p.data

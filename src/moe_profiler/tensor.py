@@ -451,19 +451,32 @@ def matmul(a, b):
     return _make(data, (a, b), vjp)
 
 
-def softmax_rows(x):
-    """Row-wise softmax over the last axis, computed with max subtraction."""
+def softmax_rows(x, scale=1.0, bias=None):
+    """Row-wise softmax of x * scale + bias over the last axis, with max subtraction.
+
+    scale is a constant; bias is an optional constant array broadcast onto x
+    (attention's key mask: 0 on real keys, -inf on masked ones). Both are
+    applied in the one buffer the softmax is computed in, so neither records
+    a node of its own.
+    """
     x = _as_tensor(x)
-    m = x.data.max(axis=-1, keepdims=True)
+    scale = x.data.dtype.type(scale)
+    s = np.multiply(x.data, scale)
+    if bias is not None:
+        s += bias
+    m = s.max(axis=-1, keepdims=True)
     if np.isnan(m).any():  # the row max is NaN exactly where a row holds one
         raise NumericError("softmax input contains NaN")
-    s = np.subtract(x.data, m)
+    s -= m
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gx = g - dot
+        gx *= s
+        gx *= scale
+        return (gx,)
 
     return _make(s, (x,), vjp)
 

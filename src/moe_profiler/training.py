@@ -22,7 +22,7 @@ from .losses import mixup, task_losses, uncertainty_loss
 from .metrics import NormStats, build_report
 from .model import ModelOutput, SpeakerProfiler
 from .optim import Adam
-from .pipeline import align_samples, batch_forward, predict_samples, record_labels, record_sample
+from .pipeline import batch_forward, predict_samples, record_labels, record_sample
 from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")
@@ -77,15 +77,13 @@ def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
     """
     sums = [0.0, 0.0, 0.0]
     count = 0
-    for batch_i, batch in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch)):
-        samples, orig_lens = align_samples(batch)
+    for batch_i, samples in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch)):
         if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
             perm = mix_rng.permutation(len(samples))
             lams = mix_rng.random(len(samples))
+            # a mixed item is real up to the longer of its two sources
             samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
-            orig_lens = None  # tiled content is now part of the mixed signal
-        lens = orig_lens if cfg.alignment_masking else None
-        out = batch_forward(net, samples, training=True, orig_lens=lens)
+        out = batch_forward(net, samples, training=True)
         losses = task_losses(
             out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples], norm
         )

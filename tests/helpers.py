@@ -7,25 +7,32 @@ from an explicit cosine-sum DCT.
 
 import numpy as np
 
+from moe_profiler.tensor import no_grad
+
 FD_EPS = 1e-5
 
 
 def numeric_grads(f, arrays, eps=FD_EPS):
-    """Central-difference gradients of scalar f() w.r.t. arrays mutated in place."""
+    """Central-difference gradients of scalar f() w.r.t. arrays mutated in place.
+
+    f() runs under no_grad(): only its value is read, and forward values do
+    not depend on whether a tape is recorded.
+    """
     grads = []
-    for a in arrays:
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f()
-            flat[i] = orig - eps
-            fm = f()
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * eps)
-        grads.append(g)
+    with no_grad():
+        for a in arrays:
+            g = np.zeros_like(a)
+            flat = a.reshape(-1)
+            gf = g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = f()
+                flat[i] = orig - eps
+                fm = f()
+                flat[i] = orig
+                gf[i] = (fp - fm) / (2.0 * eps)
+            grads.append(g)
     return grads
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from moe_profiler import checkpoint
 from moe_profiler.checkpoint import FORMAT_VERSION, load_checkpoint, restore_model, save_checkpoint
 from moe_profiler.errors import ConfigError, FormatError
+from moe_profiler.evaluation import evaluate
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
+from moe_profiler.pipeline import predict_records
 
 from .conftest import tiny_config
 
@@ -171,3 +174,24 @@ def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
     for name, p in net.parameters().items():
         assert ck.tensors[name].tobytes() == p.data.tobytes(), name
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_stored_alignment_masking_key_is_dropped_on_load(tmp_path, corpus4_records, value):
+    # checkpoints written while training had an alignment_masking switch store
+    # it in their config text; they restore and evaluate as if it were absent
+    cfg = tiny_config()
+    plain = tmp_path / "plain.bemx"
+    save_checkpoint(plain, cfg, NORM, SpeakerProfiler(cfg).parameters())
+    old = write_corrupt_config_checkpoint(
+        tmp_path / "old.bemx", "val_fraction=0.15\n", f"val_fraction=0.15\nalignment_masking={value}\n"
+    )
+    a, b = load_checkpoint(plain), load_checkpoint(old)
+    assert a.cfg == b.cfg
+    assert a.tensors.keys() == b.tensors.keys()
+    assert all(a.tensors[n].tobytes() == b.tensors[n].tobytes() for n in a.tensors)
+    got = [predict_records(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
+    for want, have in zip(*got):
+        assert want.tobytes() == have.tobytes()
+    reports = [evaluate(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
+    assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])

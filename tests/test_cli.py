@@ -143,6 +143,16 @@ class TestTrainCmd:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bemx").exists()
 
+    def test_removed_alignment_masking_key_exit_1(self, corpus4, tmp_path, capsys):
+        # only load_checkpoint forgives the removed key; a config or override that sets it is unknown
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "alignment_masking=false") == 1
+        assert "unknown config key 'alignment_masking'" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text() + "alignment_masking=true\n")
+        assert run("train", "--config", cfg) == 1
+        assert "unknown config key 'alignment_masking'" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+
     def test_numeric_abort_exit_3(self, corpus4, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
             raise NumericError("non-finite training loss at epoch 1, batch 0")

@@ -12,7 +12,7 @@ from moe_profiler.model import (
     gate_predict,
     statistical_pooling,
 )
-from moe_profiler.pipeline import align_samples, batch_forward
+from moe_profiler.pipeline import batch_forward
 from moe_profiler.tensor import Tensor
 
 from .conftest import tiny_config
@@ -247,12 +247,12 @@ def build_e2e_net(seed=13, **over):
 def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720), eps=FD_EPS):
     """Full-model gradient check through frontend, experts, gate, heads, loss.
 
-    masked runs an alignment-masked batch of two utterances of unequal
-    lengths (default 3 and 2 frames), so attention's key mask is on the
-    tape. eps is the central-difference step.
+    masked runs a batch of two utterances of unequal lengths (default 3 and
+    2 frames), so the shorter one is tiled and attention's key mask is on
+    the tape. eps is the central-difference step.
     Returns (worst relative error, params checked).
     """
-    net = build_e2e_net(alignment_masking=masked)
+    net = build_e2e_net()
     rng = np.random.default_rng(77)
     norm = NormStats(40.0, 10.0, 170.0, 8.0)
     if masked:
@@ -260,11 +260,10 @@ def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720),
             LabeledSample(rng.normal(size=n) * 0.3, height, age, gender)
             for n, height, age, gender in zip(lengths, (172.0, 160.0), (33.0, 51.0), (1.0, 0.0))
         ]
-        aligned, orig_lens = align_samples(samples)
         labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
 
         def forward():
-            return batch_forward(net, aligned, orig_lens=orig_lens)
+            return batch_forward(net, samples)
     else:
         wav = rng.normal(size=(1, 720)) * 0.3
         labels = ([172.0], [33.0], [1.0])

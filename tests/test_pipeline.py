@@ -16,7 +16,7 @@ from .conftest import tiny_config
 
 CONFIGS = {
     "conv_bi": dict(),
-    "fbank_bi_masked": dict(feature_kind="fbank", alignment_masking=True),
+    "fbank_bi_masked": dict(feature_kind="fbank"),
     "mfcc_single": dict(feature_kind="mfcc", mode="single_encoder"),
 }
 FIELDS = ("age_z", "height_z", "gender_p")
@@ -37,7 +37,7 @@ def prepare(net, records, waves):
 
 
 def per_utterance(net, samples):
-    """Each sample forwarded alone, unmasked: the batch-of-one reference."""
+    """Each sample forwarded alone, so no frame is tiled: the batch-of-one reference."""
     outs = [batch_forward(net, [s]) for s in samples]
     return {f: np.array([float(getattr(o, f).data[0]) for o in outs]) for f in FIELDS}
 
@@ -47,8 +47,7 @@ def test_masked_batch_equals_per_utterance(records16, waves16, name):
     net = SpeakerProfiler(tiny_config(**CONFIGS[name]))
     samples16 = prepare(net, records16, waves16)
     assert len({s.n_samples for s in samples16}) > 1
-    aligned, orig_lens = align_samples(samples16)
-    batched = batch_forward(net, aligned, orig_lens=orig_lens)
+    batched = batch_forward(net, samples16)
     want = per_utterance(net, samples16)
     for f in FIELDS:
         np.testing.assert_allclose(getattr(batched, f).data, want[f], rtol=1e-5, atol=1e-6, err_msg=f)
@@ -61,8 +60,7 @@ def test_predict_records_batches_and_equals_per_utterance(records16, waves16, na
     batches = []
 
     def recording_forward(net, samples, **kwargs):
-        # every aligned sample carries the longest audio length; the group's lengths come from orig_lens
-        batches.append(kwargs["orig_lens"])
+        batches.append([s.n_samples for s in samples])
         return batch_forward(net, samples, **kwargs)
 
     monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
@@ -87,14 +85,15 @@ def test_tiled_samples_do_not_reach_the_shorter_prediction(records16, waves16, k
     pair = sorted(prepare(net, records16[:2], waves16[:2]), key=lambda s: s.n_samples)
     aligned, orig_lens = align_samples(pair)
     assert orig_lens[0] < orig_lens[1]
-    before = batch_forward(net, aligned, orig_lens=orig_lens)
+    before = batch_forward(net, pair)
 
-    # overwrite what tiling added: audio samples for conv, feature frames for fbank
+    # the shorter item arrives as long as the longer one, its n_samples still
+    # its own audio length, with noise where tiling would have put a copy
+    # (audio samples for conv, feature frames for fbank)
     short = aligned[0].inputs.copy()
     real = len(pair[0].inputs)
     short[real:] = rng.uniform(-0.5, 0.5, short[real:].shape)
-    aligned[0] = dataclasses.replace(aligned[0], inputs=short)
-    after = batch_forward(net, aligned, orig_lens=orig_lens)
+    after = batch_forward(net, [dataclasses.replace(pair[0], inputs=short), pair[1]])
     for f in FIELDS:
         assert getattr(after, f).data[0] == getattr(before, f).data[0], f
 

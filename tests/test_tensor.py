@@ -12,7 +12,7 @@ from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, NumericError, ShapeError
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import align_samples, batch_forward, predict_records, record_sample
+from moe_profiler.pipeline import batch_forward, predict_records, record_sample
 from moe_profiler.tensor import Tensor
 
 from .conftest import tiny_config
@@ -72,6 +72,37 @@ class TestSoftmax:
         x[1, 2, 4] = np.nan
         with pytest.raises(NumericError):
             T.softmax_rows(Tensor(x))
+
+    def test_nan_rejected_under_scale_and_bias(self):
+        x = np.zeros((1, 2, 3), dtype=np.float32)
+        x[0, 1, 2] = np.nan
+        bias = np.array([0.0, 0.0, -np.inf], dtype=np.float32)  # NaN + -inf is still NaN
+        with pytest.raises(NumericError):
+            T.softmax_rows(Tensor(x), 0.5, bias)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_and_bias_bitwise_the_mul_add_composition(self, rng, dtype):
+        # the fold must equal attention's former nodes, mul by the scale then
+        # add the key bias, forward and backward, masked keys included
+        scale = 1.0 / np.sqrt(8)  # the quick-start heads have dk = 8
+        x = rng.normal(scale=3.0, size=(3, 2, 6, 6)).astype(dtype)
+        bias = np.zeros((3, 1, 1, 6), dtype=dtype)
+        bias[0, ..., 5] = bias[2, ..., 1:3] = -np.inf
+        w = rng.normal(size=x.shape).astype(dtype)
+        grads, outs = [], []
+        for fused in (True, False):
+            xt = Tensor(x.copy(), requires_grad=True)
+            if fused:
+                s = T.softmax_rows(xt, scale, bias)
+            else:
+                s = T.softmax_rows(T.add(T.mul(xt, scale), Tensor(bias)))
+            T.sum_(T.mul(s, Tensor(w))).backward()
+            outs.append(s.data)
+            grads.append(xt.grad)
+        assert outs[0].dtype == grads[0].dtype == dtype
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert np.all(outs[0][0, ..., 5] == 0.0) and np.all(grads[0][0, ..., 5] == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_the_max_subtracted_formula(self, rng, dtype):
@@ -441,7 +472,18 @@ def _matmul_b(rng):
 def _softmax(rng):
     a = t64(rng.normal(size=(3, 5)))
     w = rng.normal(size=(3, 5))
-    return {"a": a}, lambda: T.sum_(T.mul(T.softmax_rows(a), Tensor(w)))
+    bias = rng.normal(size=(3, 5))
+    return {"a": a}, lambda: T.sum_(T.mul(T.softmax_rows(a, 0.7, bias), Tensor(w)))
+
+
+@op_case("softmax_masked")
+def _softmax_masked(rng):
+    # attention's shape: one key per row masked with -inf
+    a = t64(rng.normal(size=(2, 3, 4)))
+    w = rng.normal(size=(2, 3, 4))
+    bias = np.zeros((2, 3, 4))
+    bias[np.arange(2)[:, None], np.arange(3)[None, :], rng.integers(0, 4, size=(2, 3))] = -np.inf
+    return {"a": a}, lambda: T.sum_(T.mul(T.softmax_rows(a, 0.7, bias), Tensor(w)))
 
 
 @op_case("layer_norm")
@@ -579,7 +621,7 @@ def test_steady_state_steps_take_no_page_faults(corpus16):
     net = SpeakerProfiler(tiny_config(conv_channels=32))
     norm = NormStats.fit(records)
     waves = [read_audio(r.utterance_path) for r in records]
-    batch, _ = align_samples([record_sample(net, r, w) for r, w in zip(records, waves)])
+    batch = [record_sample(net, r, w) for r, w in zip(records, waves)]
 
     def step():
         predict_records(net, norm, records, waves)

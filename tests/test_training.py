@@ -9,7 +9,7 @@ from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import task_losses, tile_to
+from moe_profiler.losses import mixup, task_losses, tile_to
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
@@ -87,26 +87,44 @@ def test_val_split_used_when_enough_records(corpus16, caplog):
 
 
 def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
-    # masking hides the tiled frames from attention keys and from pooling: the
-    # shorter item's prediction changes, the longest item (no tiled frames)
-    # is unaffected
-    net = SpeakerProfiler(tiny_config(alignment_masking=True))
+    # batch_forward hides the tiled frames from attention keys and from
+    # pooling: against an unmasked forward of the same tiled batch, the shorter
+    # item's prediction changes and the longest item (no tiled frames) is
+    # bitwise unaffected
+    net = SpeakerProfiler(tiny_config())
     samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
     assert samples[0].n_samples != samples[1].n_samples
     shorter = 0 if samples[0].n_samples < samples[1].n_samples else 1
-    aligned, orig_lens = align_samples(samples)
+    aligned, _ = align_samples(samples)
 
-    masked = batch_forward(net, aligned, orig_lens=orig_lens)
-    unmasked = batch_forward(net, aligned)
+    masked = batch_forward(net, samples)
+    unmasked = net.forward_waveforms(np.stack([s.inputs for s in aligned]))
     assert float(masked.age_z.data[shorter]) != float(unmasked.age_z.data[shorter])
     longest = 1 - shorter
-    assert float(masked.age_z.data[longest]) == float(unmasked.age_z.data[longest])
+    for field in ("age_z", "height_z", "gender_p"):
+        assert getattr(masked, field).data[longest] == getattr(unmasked, field).data[longest], field
 
-    # mask rows count exactly the frames the pipeline yields per original length
-    total = aligned[0].n_samples
-    t_full = net.frames_for_samples(total)
-    for n in orig_lens:
-        assert net.frames_for_samples(n) <= t_full
+
+@pytest.mark.parametrize("kind", ["fbank", "conv_mixed"])
+def test_training_batch_item_equals_its_batch_of_one(corpus16, kind):
+    # training forwards (training=True, dropout 0) mask the tiled frames as
+    # inference does; a mixed item is real up to the longer of its sources
+    records = scan_corpus(corpus16)[:8]
+    net = SpeakerProfiler(tiny_config(feature_kind=kind.split("_")[0]))
+    batch = [record_sample(net, r, read_audio(r.utterance_path)) for r in records]
+    if kind == "conv_mixed":
+        rng = np.random.default_rng(3)
+        perm, lams = rng.permutation(len(batch)), rng.random(len(batch))
+        batch = [mixup(s, batch[j], lam) for s, j, lam in zip(batch, perm, lams)]
+    assert len({s.n_samples for s in batch}) > 1
+    out = batch_forward(net, batch, training=True)
+    assert out.age_z.requires_grad
+    for i, sample in enumerate(batch):
+        one = batch_forward(net, [sample], training=True)
+        for field in ("age_z", "height_z", "gender_p"):
+            np.testing.assert_allclose(
+                getattr(out, field).data[i], getattr(one, field).data[0], rtol=1e-5, atol=1e-6, err_msg=field
+            )
 
 
 def test_val_fraction_sets_val_split_size(corpus16):
@@ -135,7 +153,7 @@ def test_impossible_model_shape_rejected(key, value):
 def test_smallest_model_shape_runs(corpus4_records):
     cfg = tiny_config(model_dim=2, num_heads=1, ff_dim=1, expert_dim=1, head_hidden=1, num_layers=0, conv_channels=2)
     net = SpeakerProfiler(cfg)
-    samples, _ = align_samples([record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]])
+    samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
     assert np.all(np.isfinite(batch_forward(net, samples).age_z.data))
 
 
@@ -225,18 +243,20 @@ def test_8khz_val_file_rejected_before_first_step(corpus16, tmp_path, monkeypatc
 
 
 def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
-    # default mode: each utterance is featurized from its own audio and tiled
-    # as frames to the longest; the frames reach a float64 model unrounded
+    # each utterance is featurized from its own audio and tiled as frames to
+    # the longest, with the tiled frames masked; the frames reach a float64
+    # model unrounded
     net = SpeakerProfiler(tiny_config(feature_kind="fbank"), dtype=np.float64)
     waves = [read_audio(r.utterance_path) for r in corpus4_records[:2]]
     assert len(waves[0]) != len(waves[1])
-    samples, _ = align_samples([record_sample(net, r, w) for r, w in zip(corpus4_records[:2], waves)])
+    samples = [record_sample(net, r, w) for r, w in zip(corpus4_records[:2], waves)]
     frames = [featurize("fbank", w) for w in waves]
     longest = max(len(f) for f in frames)
     feats = np.stack([tile_to(f, longest) for f in frames])
+    mask = np.stack([np.arange(longest) < len(f) for f in frames]).astype(np.float64)
     assert feats.dtype == np.float64
     got = batch_forward(net, samples)
-    want = net.forward_features(feats)
+    want = net.forward_features(feats, frame_mask=mask)
     for field in ("age_z", "height_z", "gender_p"):
         assert getattr(got, field).data.dtype == np.float64
         assert np.array_equal(getattr(got, field).data, getattr(want, field).data), field
