@@ -1,4 +1,4 @@
-"""TIMIT-layout corpus scanning, speaker metadata, splits and batching.
+"""TIMIT-layout corpus scanning, speaker metadata and splits.
 
 Expected tree: root/{TRAIN,TEST}/DR?/<speaker>/<utt>.WAV with sibling .PHN
 files, plus a SPKRINFO-style table at the root (or under DOC/). Speaker
@@ -186,12 +186,3 @@ def split_train_val(records, seed, fraction) -> tuple:
             train.append(r)
     return train, val
 
-
-def iter_batches(records, batch_size, seed, epoch):
-    """Yield record batches in a seeded, epoch-salted shuffle order."""
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(len(records))
-    for start in range(0, len(records), batch_size):
-        yield [records[i] for i in order[start : start + batch_size]]

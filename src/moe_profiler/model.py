@@ -56,9 +56,9 @@ def statistical_pooling(frames, frame_mask=None):
     if (counts <= 0).any():
         raise ShapeError("frame mask leaves an utterance with no frames")
     inv = (1.0 / counts).astype(dtype)
-    m3 = Tensor(mask[:, :, None])
-    mean = T.mul(T.sum_(T.mul(frames, m3), axis=1), inv)
-    mean_sq = T.mul(T.sum_(T.mul(T.mul(frames, frames), m3), axis=1), inv)
+    m3 = mask[:, :, None]
+    mean = T.mul(T.sum_(frames, axis=1, weights=m3), inv)
+    mean_sq = T.mul(T.sum_(T.mul(frames, frames), axis=1, weights=m3), inv)
     var = T.relu(T.sub(mean_sq, T.mul(mean, mean)))  # clamp tiny negatives from rounding
     std = T.sqrt(var)
     return T.concat([mean, std], axis=1)

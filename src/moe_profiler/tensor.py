@@ -368,17 +368,27 @@ def clip(x, lo, hi):
 # -- reductions and shape ops ------------------------------------------------
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x, axis=None, keepdims=False, weights=None):
+    """Sum of x, or of x * weights, over axis.
+
+    weights is an optional constant array broadcast onto x (pooling's frame
+    mask); it is applied in the op's own buffer, records no node and gets no
+    gradient.
+    """
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=x.data.dtype)
+    data = (x.data if weights is None else x.data * weights).sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=True),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
+            gx = np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=True)
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            gx = np.broadcast_to(gg, x.shape).copy()
+        if weights is not None:
+            gx *= weights
+        return (gx,)
 
     return _make(data, (x,), vjp)
 

@@ -16,13 +16,13 @@ import numpy as np
 from .audio import read_audio
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
-from .corpus import iter_batches, split_train_val
+from .corpus import split_train_val
 from .errors import DataError, NumericError
 from .losses import mixup, task_losses, uncertainty_loss
 from .metrics import NormStats, build_report
 from .model import ModelOutput, SpeakerProfiler
 from .optim import Adam
-from .pipeline import batch_forward, predict_samples, record_labels, record_sample
+from .pipeline import batch_forward, pooled_batches, predict_samples, record_labels, record_sample
 from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")
@@ -72,12 +72,14 @@ def _losses_to_row(epoch, split, means, net):
 def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
     """One training pass over data (LabeledSamples), logged as a 'train' row.
 
-    Applies dropout and Adam steps, and mixup when given mix_rng; shuffles
-    with the epoch as salt.
+    Applies dropout and Adam steps, and mixup when given mix_rng. Batches come
+    from pooled_batches: the epoch-salted shuffle is cut into pools of
+    POOL_BATCHES batches, each pool sorted by audio length before it is cut,
+    so batch-mates are tiled to similar lengths and mixup pairs them too.
     """
     sums = [0.0, 0.0, 0.0]
     count = 0
-    for batch_i, samples in enumerate(iter_batches(data, cfg.batch_size, cfg.seed, epoch)):
+    for batch_i, samples in enumerate(pooled_batches(data, cfg.batch_size, cfg.seed, epoch)):
         if mix_rng is not None and len(samples) > 1 and mix_rng.random() < 0.5:
             perm = mix_rng.permutation(len(samples))
             lams = mix_rng.random(len(samples))

@@ -5,7 +5,6 @@ from moe_profiler.audio import write_wav
 from moe_profiler.corpus import (
     SpeakerRecord,
     age_at,
-    iter_batches,
     parse_height,
     parse_speaker_info,
     scan_corpus,
@@ -115,21 +114,3 @@ class TestSplit:
         b = split_train_val(fake_records(40), seed=2, fraction=0.15)[1]
         assert [r.utterance_path for r in a] != [r.utterance_path for r in b]
 
-
-class TestBatches:
-    def test_sizes_4_4_2(self):
-        sizes = [len(b) for b in iter_batches(fake_records(10), 4, seed=0, epoch=1)]
-        assert sizes == [4, 4, 2]
-
-    def test_epoch_salting_changes_order(self):
-        recs = fake_records(16)
-        o1 = [r.utterance_path for b in iter_batches(recs, 4, 0, epoch=1) for r in b]
-        o2 = [r.utterance_path for b in iter_batches(recs, 4, 0, epoch=2) for r in b]
-        assert o1 != o2
-        assert sorted(o1) == sorted(o2)
-
-    def test_same_epoch_reproducible(self):
-        recs = fake_records(16)
-        o1 = [r.utterance_path for b in iter_batches(recs, 4, 0, epoch=3) for r in b]
-        o2 = [r.utterance_path for b in iter_batches(recs, 4, 0, epoch=3) for r in b]
-        assert o1 == o2

@@ -54,6 +54,32 @@ class TestPooling:
         want = statistical_pooling(Tensor(base)).data
         assert np.allclose(got, want, atol=1e-6)
 
+    def test_constant_mask_matches_mask_multiplication(self, rng):
+        # the mask as a constant of sum_ gives the same pooled values and
+        # frame gradients, bit for bit, as multiplying by it with mul nodes
+        x = rng.normal(size=(3, 7, 4)).astype(np.float32)
+        mask = np.ones((3, 7), dtype=np.float32)
+        mask[0, 5:] = mask[2, 3:] = 0.0
+        w = rng.normal(size=(3, 8)).astype(np.float32)
+
+        def mul_node_pooling(frames):
+            m3 = Tensor(mask[:, :, None])
+            inv = 1.0 / mask.sum(axis=1, keepdims=True)
+            mean = T.mul(T.sum_(T.mul(frames, m3), axis=1), inv)
+            mean_sq = T.mul(T.sum_(T.mul(T.mul(frames, frames), m3), axis=1), inv)
+            return T.concat([mean, T.sqrt(T.relu(T.sub(mean_sq, T.mul(mean, mean))))], axis=1)
+
+        grads = []
+        for pool in (lambda f: statistical_pooling(f, mask), mul_node_pooling):
+            frames = Tensor(x.copy(), requires_grad=True)
+            out = pool(frames)
+            T.sum_(T.mul(out, Tensor(w))).backward()
+            grads.append((out.data, frames.grad))
+        (got, got_g), (want, want_g) = grads
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_g, want_g)
+        assert got_g.dtype == np.float32
+
 
 class TestCombine:
     def test_endpoints(self, rng):

@@ -1,4 +1,4 @@
-"""Batched eval: a record's prediction must not depend on its batch-mates."""
+"""Batching: length-sorted training pools, and batched eval where a prediction must not depend on its batch-mates."""
 
 import dataclasses
 
@@ -8,9 +8,11 @@ import pytest
 from moe_profiler import pipeline
 from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
+from moe_profiler.errors import DataError
+from moe_profiler.losses import LabeledSample
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import align_samples, batch_forward, predict_records, record_sample
+from moe_profiler.pipeline import POOL_BATCHES, align_samples, batch_forward, pooled_batches, predict_records, record_sample
 
 from .conftest import tiny_config
 
@@ -128,3 +130,86 @@ def test_predict_records_reads_one_window_at_a_time(records16, waves16, monkeypa
     np.testing.assert_allclose(ages, norm.de_age(want["age_z"]), rtol=1e-5)
     np.testing.assert_allclose(heights, norm.de_height(want["height_z"]), rtol=1e-5)
     np.testing.assert_allclose(genders, want["gender_p"], rtol=1e-5, atol=1e-6)
+
+
+def fake_samples(lengths):
+    """One sample per audio length; height_cm holds its index."""
+    return [LabeledSample(np.zeros(1), float(i), 30.0, float(i % 2), n_samples=int(n)) for i, n in enumerate(lengths)]
+
+
+def ids(batches):
+    return [[int(s.height_cm) for s in b] for b in batches]
+
+
+def spread_lengths(n, seed=0):
+    return np.random.default_rng(seed).integers(7000, 15000, size=n)
+
+
+class TestBatches:
+    def test_sizes_4_4_2(self):
+        sizes = [len(b) for b in pooled_batches(fake_samples(spread_lengths(10)), 4, seed=0, epoch=1)]
+        assert sizes == [4, 4, 2]
+
+    def test_epoch_salting_changes_order(self):
+        samples = fake_samples(spread_lengths(16))
+        o1 = ids(pooled_batches(samples, 4, 0, epoch=1))
+        o2 = ids(pooled_batches(samples, 4, 0, epoch=2))
+        assert o1 != o2
+        assert sorted(sum(o1, [])) == sorted(sum(o2, []))
+
+    def test_same_epoch_reproducible(self):
+        samples = fake_samples(spread_lengths(16))
+        assert ids(pooled_batches(samples, 4, 0, epoch=3)) == ids(pooled_batches(samples, 4, 0, epoch=3))
+
+    @pytest.mark.parametrize("n", [1, 15, 37, 64, 82])
+    def test_every_sample_once_per_epoch(self, n):
+        samples = fake_samples(spread_lengths(n))
+        for epoch in range(1, 4):
+            assert sorted(sum(ids(pooled_batches(samples, 4, 5, epoch)), [])) == list(range(n))
+
+    @pytest.mark.parametrize("n, remainder", [(37, 1), (46, 2), (48, 0)])
+    def test_full_batches_then_the_remainder_last(self, n, remainder):
+        samples = fake_samples(spread_lengths(n))
+        for epoch in range(1, 6):
+            sizes = [len(b) for b in pooled_batches(samples, 4, 2, epoch)]
+            want = [4] * (n // 4) + ([remainder] if remainder else [])
+            assert sizes == want
+
+    def test_pools_are_cut_in_length_order(self):
+        # few distinct lengths, so ties must keep their shuffled order
+        lengths = np.random.default_rng(1).choice([8000, 9000, 12000, 14000], size=46)
+        samples = fake_samples(lengths)
+        batch_size = 4
+        pool = POOL_BATCHES * batch_size
+        for epoch in range(1, 4):
+            order = np.random.default_rng([7, epoch]).permutation(len(samples)).tolist()
+            cuts = []
+            for start in range(0, len(order), pool):
+                ranked = sorted(order[start : start + pool], key=lambda i: lengths[i])
+                cuts += [ranked[k : k + batch_size] for k in range(0, len(ranked), batch_size)]
+            got = ids(pooled_batches(samples, batch_size, 7, epoch))
+            assert sorted(got[:-1]) == sorted(cuts[:-1])  # the full batches, in a shuffled order
+            assert got[-1] == cuts[-1]
+            assert got[:-1] != cuts[:-1]
+
+    def test_batches_depend_on_seed_and_epoch_alone(self):
+        samples = fake_samples(spread_lengths(82))
+        first = ids(pooled_batches(samples, 16, 11, epoch=4))
+        assert ids(pooled_batches(list(samples), 16, 11, epoch=4)) == first  # a fresh call, as after a resume
+        assert ids(pooled_batches(samples, 16, 11, epoch=5)) != first
+        assert ids(pooled_batches(samples, 16, 12, epoch=4)) != first
+
+    def test_pools_tile_less_audio_than_the_shuffled_order(self):
+        lengths = spread_lengths(82, seed=3)
+        samples = fake_samples(lengths)
+        for epoch in range(1, 6):
+            order = np.random.default_rng([11, epoch]).permutation(len(samples))
+            shuffled = [order[k : k + 16] for k in range(0, len(order), 16)]
+            pooled = pooled_batches(samples, 16, 11, epoch)
+            assert sum(max(s.n_samples for s in b) * len(b) for b in pooled) < sum(
+                lengths[b].max() * len(b) for b in shuffled
+            )
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(DataError):
+            next(pooled_batches(fake_samples([8000]), 0, 0, 1))

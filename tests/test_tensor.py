@@ -428,6 +428,14 @@ def _sum_axis(rng):
     return {"a": a}, lambda: T.sum_(T.mul(T.sum_(a, axis=1), T.sum_(a, axis=1)))
 
 
+@op_case("sum_weighted")
+def _sum_weighted(rng):
+    # pooling's shape: a constant 0/1 frame mask broadcast over the last axis
+    a = t64(rng.normal(size=(2, 5, 3)))
+    m = (rng.random((2, 5, 1)) < 0.7).astype(np.float64)
+    return {"a": a}, lambda: T.sum_(T.mul(T.sum_(a, axis=1, weights=m), T.sum_(a, axis=1, weights=m)))
+
+
 @op_case("mean_axis")
 def _mean_axis(rng):
     a = t64(rng.normal(size=(3, 4)))
