@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .audio import Waveform, read_audio
 from .config import TrainConfig
-from .dsp import FeatureSequence, cmvn, fbank, mfcc
+from .dsp import cmvn, fbank, mfcc
 from .losses import LabeledSample, length_align, mixup, uncertainty_loss
 from .metrics import EvalReport, NormStats, mae, rmse
 from .model import ModelOutput, SpeakerProfiler, combine_experts, statistical_pooling
@@ -21,7 +21,6 @@ __all__ = [
     "Waveform",
     "read_audio",
     "TrainConfig",
-    "FeatureSequence",
     "cmvn",
     "fbank",
     "mfcc",

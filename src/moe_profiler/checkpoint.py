@@ -99,9 +99,13 @@ def load_checkpoint(path) -> Checkpoint:
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length", path))
         cfg_text = _read_text(f, cfg_len, "config", path)
         items = parse_config_text(cfg_text)
-        # older checkpoints store the removed training switch alignment_masking;
-        # it never changed a parameter shape or an inference result, so it is dropped
+        # older checkpoints store keys of removed settings: alignment_masking never
+        # changed a parameter or an inference result, and every model now adds
+        # positional encodings, so only use_positional_encoding=true can be rebuilt
         items.pop("alignment_masking", None)
+        pe = items.pop("use_positional_encoding", "true")
+        if pe != "true":
+            raise ConfigError(f"{path}: use_positional_encoding={pe} is no longer supported")
         cfg = config_from_items(items)
         norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats", path)))
         (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch", path))

@@ -1,5 +1,9 @@
 """Command-line interface: train, evaluate, analyze-phones, features, synth.
 
+Each run value has one place to set it: train reads every setting, its seed
+included, from the config file, and each --override key=value wins over the
+file's entry for that key; synth takes its corpus seed from --seed (default 0).
+
 Exit codes: 0 success, 1 configuration error, 2 data, format, shape, length
 or contract error or an unreadable file, 3 numeric abort. Verbosity comes
 from MOE_PROFILER_LOG (error|info|debug).
@@ -32,24 +36,15 @@ def _setup_logging():
     logging.getLogger("moe_profiler").setLevel(level)
 
 
-def _load_run_config(path, overrides, seed=None):
-    text = Path(path).read_text()
-    items = parse_config_text(text)
-    corpus_root = items.pop("corpus_root", None)
-    out_dir = items.pop("out_dir", None)
+def _load_run_config(path, overrides):
+    items = parse_config_text(Path(path).read_text())
     for ov in overrides or []:
         if "=" not in ov:
             raise ConfigError(f"--override expects key=value, got '{ov}'")
         key, _, value = ov.partition("=")
-        key = key.strip()
-        if key == "corpus_root":
-            corpus_root = value.strip()
-        elif key == "out_dir":
-            out_dir = value.strip()
-        else:
-            items[key] = value.strip()
-    if seed is not None:
-        items["seed"] = str(seed)
+        items[key.strip()] = value.strip()
+    corpus_root = items.pop("corpus_root", None)
+    out_dir = items.pop("out_dir", None)
     cfg = config_from_items(items)
     if corpus_root is None:
         raise ConfigError("config is missing corpus_root")
@@ -71,16 +66,10 @@ def _records_for_split(records, split, cfg):
     return chosen
 
 
-def _effective_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return args.global_seed
-
-
 def cmd_train(args):
     from .training import train
 
-    cfg, corpus_root, out_dir = _load_run_config(args.config, args.override, _effective_seed(args))
+    cfg, corpus_root, out_dir = _load_run_config(args.config, args.override)
     records = scan_corpus(corpus_root)
     if not records:
         raise DataError(f"no usable records under {corpus_root}")
@@ -129,10 +118,10 @@ def cmd_features(args):
 
     wave = read_audio(args.input)
     feats = fbank(wave) if args.kind == "fbank" else mfcc(wave)
-    t, d = feats.frames.shape
+    t, d = feats.shape
     with open(args.out, "w") as f:
         f.write(f"{t},{d}\n")
-        for row in feats.frames:
+        for row in feats:
             f.write(",".join(format(v, ".8g") for v in row) + "\n")
     log.info("wrote %d x %d %s features to %s", t, d, args.kind, args.out)
     return 0
@@ -142,20 +131,17 @@ def cmd_synth(args):
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"{out} exists and is not empty (use --force to overwrite)")
-    seed = _effective_seed(args)
-    synth_corpus(out, seed if seed is not None else 0, args.speakers, args.utts)
+    synth_corpus(out, args.seed, args.speakers, args.utts)
     return 0
 
 
 def build_parser():
     p = argparse.ArgumentParser(prog="moe-profiler", description="Speaker age/height/gender profiler")
-    p.add_argument("--seed", dest="global_seed", type=int, default=None, help="override the run seed")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model from a config file")
     t.add_argument("--config", required=True)
     t.add_argument("--override", action="append", metavar="KEY=VALUE")
-    t.add_argument("--seed", type=int, default=None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("evaluate", help="evaluate a checkpoint on a corpus split")
@@ -181,7 +167,7 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.add_argument("--speakers", type=int, required=True)
     s.add_argument("--utts", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--force", action="store_true")
     s.set_defaults(fn=cmd_synth)
 

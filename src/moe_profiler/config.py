@@ -1,6 +1,7 @@
 """Training configuration and its flat key=value text form."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -12,9 +13,11 @@ MODES = ("bi_encoder", "single_encoder")
 # frontend, 1e-5 for fbank/mfcc
 DEFAULT_LR = {"conv": 1e-6, "fbank": 1e-5, "mfcc": 1e-5}
 
-# smallest allowed value of each integer size and count; layer norm needs two
-# features, so the conv channels and the encoder width start at two
+# smallest allowed value of each integer setting; numpy seeds are non-negative,
+# and layer norm needs two features, so the conv channels and the encoder width
+# start at two
 MIN_VALUES = {
+    "seed": 0,
     "max_epochs": 1,
     "batch_size": 1,
     "num_frozen_layers": 0,
@@ -46,7 +49,6 @@ class TrainConfig:
     dropout_p: float = 0.2
     expert_dim: int = 128
     head_hidden: int = 64
-    use_positional_encoding: bool = True
     conv_channels: int = 64
     # training control
     patience: int = 20
@@ -59,8 +61,8 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.lr is None:
             self.lr = DEFAULT_LR[self.feature_kind]
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         for key, low in MIN_VALUES.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")

@@ -7,14 +7,13 @@ order deltas (80*3 = 240 dims); MFCC keeps 16 DCT-II coefficients (16*3 = 48).
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct as _dct
 
 from .audio import SAMPLE_RATE, Waveform
-from .errors import LengthError, ShapeError
+from .errors import LengthError
 
 FRAME_LEN_S = 0.025
 FRAME_SHIFT_S = 0.010
@@ -25,26 +24,6 @@ N_CEPS = 16
 LOG_FLOOR = 1e-10
 
 FEATURE_DIMS = {"fbank": 3 * N_MELS, "mfcc": 3 * N_CEPS}
-
-
-@dataclass
-class FeatureSequence:
-    """T x D feature matrix and the family it belongs to."""
-
-    frames: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ShapeError(f"feature matrix must be T x D with T >= 1, got {self.frames.shape}")
-        want = FEATURE_DIMS.get(self.kind)
-        if want is not None and self.frames.shape[1] != want:
-            raise ShapeError(f"{self.kind} features must have width {want}, got {self.frames.shape[1]}")
-
-    @property
-    def num_frames(self):
-        return self.frames.shape[0]
 
 
 def num_frames(n_samples, sample_rate):
@@ -134,24 +113,24 @@ def _with_deltas(static):
     return np.concatenate([static, d1, delta(d1)], axis=1)
 
 
-def fbank(w: Waveform) -> FeatureSequence:
+def fbank(w: Waveform) -> np.ndarray:
     """80 log-mel energies plus first and second order deltas (T x 240)."""
-    return FeatureSequence(_with_deltas(_log_mel(w)), "fbank")
+    return _with_deltas(_log_mel(w))
 
 
-def mfcc(w: Waveform) -> FeatureSequence:
+def mfcc(w: Waveform) -> np.ndarray:
     """16 DCT-II (ortho) cepstra of the log-mel energies plus deltas (T x 48)."""
-    ceps = _dct(_log_mel(w), type=2, axis=1, norm="ortho")[:, :N_CEPS]
-    return FeatureSequence(_with_deltas(ceps), "mfcc")
+    return _with_deltas(_dct(_log_mel(w), type=2, axis=1, norm="ortho")[:, :N_CEPS])
 
 
-def cmvn(f: FeatureSequence) -> FeatureSequence:
-    """Per-utterance, per-dimension zero mean / unit variance normalization."""
-    if f.num_frames < 2:
-        raise LengthError(f"cmvn needs at least 2 frames, got {f.num_frames}")
-    out = f.frames - f.frames.mean(axis=0)
+def cmvn(frames: np.ndarray) -> np.ndarray:
+    """Per-utterance, per-dimension zero mean / unit variance normalization of a T x D matrix."""
+    t = frames.shape[0]
+    if t < 2:
+        raise LengthError(f"cmvn needs at least 2 frames, got {t}")
+    out = frames - frames.mean(axis=0)
     var = np.square(out).sum(axis=0)
-    var /= f.num_frames
+    var /= t
     var += 1e-10
     out /= np.sqrt(var, out=var)
-    return FeatureSequence(out, f.kind)
+    return out

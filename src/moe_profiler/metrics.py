@@ -1,7 +1,7 @@
 """Error metrics, target normalization stats and evaluation report types."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,17 +61,6 @@ class NormStats:
         return np.asarray(z, dtype=np.float64) * self.height_std + self.height_mean
 
 
-_REPORT_FIELDS = (
-    "height_rmse_male", "height_rmse_female",
-    "height_mae_male", "height_mae_female",
-    "age_rmse_male", "age_rmse_female",
-    "age_mae_male", "age_mae_female",
-    "age_rmse_all", "age_mae_all",
-    "height_rmse_all", "height_mae_all",
-    "gender_accuracy",
-)
-
-
 @dataclass
 class EvalReport:
     """Per-gender (by true label) and pooled RMSE/MAE plus gender accuracy."""
@@ -110,6 +99,10 @@ class EvalReport:
             f"gender accuracy: {self.gender_accuracy:.4f}",
         ]
         return "\n".join(lines) + "\n"
+
+
+# the CSV columns: every float field of EvalReport, in declaration order
+_REPORT_FIELDS = tuple(f.name for f in fields(EvalReport) if f.type is float)
 
 
 def build_report(ages_pred, ages_true, heights_pred, heights_true, genders_pred, genders_true) -> EvalReport:

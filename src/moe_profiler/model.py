@@ -231,11 +231,10 @@ class SpeakerProfiler:
         return self._ln(x, f"{prefix}.enc.lnf")
 
     def expert_forward(self, x, prefix, training=False, frame_mask=None):
-        """Encoder -> statistical pooling -> dropout -> FC expert view (B, E)."""
+        """Projection + sinusoidal positions -> encoder -> statistical pooling -> dropout -> FC expert view (B, E)."""
         proj = self._lin(x, f"{prefix}.proj")
-        if self.cfg.use_positional_encoding:
-            pe = sinusoidal_positions(proj.shape[1], self.cfg.model_dim, dtype=proj.data.dtype)
-            proj = T.add(proj, Tensor(pe[None, :, :]))
+        pe = sinusoidal_positions(proj.shape[1], self.cfg.model_dim, dtype=proj.data.dtype)
+        proj = T.add(proj, Tensor(pe[None, :, :]))
         enc = self.transformer_encoder(proj, prefix, training, frame_mask)
         pooled = statistical_pooling(enc, frame_mask)
         return self._lin(self._drop(pooled, training), f"{prefix}.fc")

@@ -12,9 +12,9 @@ from .tensor import no_grad
 def featurize(kind, waveform: Waveform) -> np.ndarray:
     """Frame features for one utterance (fbank/mfcc are CMVN-normalized)."""
     if kind == "fbank":
-        return cmvn(fbank(waveform)).frames
+        return cmvn(fbank(waveform))
     if kind == "mfcc":
-        return cmvn(mfcc(waveform)).frames
+        return cmvn(mfcc(waveform))
     raise ConfigError(f"no frame features for kind '{kind}'")
 
 

@@ -80,6 +80,8 @@ def synth_corpus(out_dir, seed, n_speakers, utt_per_speaker) -> Path:
     TEST, the rest to TRAIN. Writes WAV + .PHN per utterance plus a
     SPKRINFO-style table at the root.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_speakers < 2:
         raise ConfigError(f"need at least 2 speakers (both genders), got {n_speakers}")
     if utt_per_speaker < 1:

@@ -2,9 +2,10 @@
 
 Targets are z-scored with training-split statistics. Every record's model
 input is prepared once per run. One predict_samples pass per epoch gives the
-validation losses that choose the best checkpoint (else the training loss)
-and, at the best epoch, the validation report. Early stopping follows
-`patience`; runs are deterministic for a fixed config and seed.
+validation losses that choose the best checkpoint (else the training loss;
+a non-finite one aborts the run) and, at the best epoch, the validation
+report. Early stopping follows `patience`; runs are deterministic for a
+fixed config and seed.
 """
 
 import logging
@@ -149,9 +150,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
         if val_recs:
             preds = predict_samples(net, norm, val_data)
             rows.append(_val_row(net, norm, epoch, preds, val_labels))
-            if not np.isfinite(rows[-1].l_total):
-                raise NumericError(f"non-finite validation loss at epoch {epoch}")
         monitor = rows[-1].l_total
+        if not np.isfinite(monitor):
+            raise NumericError(f"non-finite {'validation' if val_recs else 'training'} loss at epoch {epoch}")
 
         if monitor < best_loss:
             best_loss = monitor

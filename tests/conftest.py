@@ -26,7 +26,6 @@ def tiny_config(**overrides):
         head_hidden=4,
         conv_channels=8,
         patience=1000,
-        use_positional_encoding=True,
     )
     base.update(overrides)
     return TrainConfig(**base)

@@ -195,3 +195,19 @@ def test_stored_alignment_masking_key_is_dropped_on_load(tmp_path, corpus4_recor
         assert want.tobytes() == have.tobytes()
     reports = [evaluate(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
     assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])
+
+
+def test_stored_positional_encoding_true_is_dropped_on_load(tmp_path, corpus4_records):
+    # every checkpoint written while the encoding had a switch stores it as true;
+    # it loads as the same model, and evaluates bitwise the same
+    cfg = tiny_config()
+    plain = tmp_path / "plain.bemx"
+    save_checkpoint(plain, cfg, NORM, SpeakerProfiler(cfg).parameters())
+    old = write_corrupt_config_checkpoint(
+        tmp_path / "old.bemx", "head_hidden=4\n", "head_hidden=4\nuse_positional_encoding=true\n"
+    )
+    a, b = load_checkpoint(plain), load_checkpoint(old)
+    assert a.cfg == b.cfg
+    assert all(a.tensors[n].tobytes() == b.tensors[n].tobytes() for n in a.tensors)
+    reports = [evaluate(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
+    assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])

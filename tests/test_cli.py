@@ -153,6 +153,37 @@ class TestTrainCmd:
         assert "unknown config key 'alignment_masking'" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bemx").exists()
 
+    def test_removed_positional_encoding_key_exit_1(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "use_positional_encoding=true") == 1
+        assert "unknown config key 'use_positional_encoding'" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text() + "use_positional_encoding=true\n")
+        assert run("train", "--config", cfg) == 1
+        assert "unknown config key 'use_positional_encoding'" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+
+    def test_negative_seed_exit_1_names_seed(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "seed=-1") == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert run("synth", "--out", tmp_path / "c", "--speakers", 2, "--utts", 1, "--seed", -1) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "c").exists()
+
+    def test_diverged_run_without_val_split_exit_3(self, corpus4, tmp_path, capsys, monkeypatch):
+        step = training.Adam.step
+
+        def diverging_step(self):
+            step(self)
+            self.params["loss.s_age"].data[...] = np.inf
+
+        monkeypatch.setattr(training.Adam, "step", diverging_step)
+        out_dir = tmp_path / "run"
+        assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus4, out_dir)) == 3
+        # the epoch's train row, not a batch loss: one batch covers corpus4, which has no val split
+        assert "error: non-finite training loss at epoch 1\n" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bemx").exists()
+
     def test_numeric_abort_exit_3(self, corpus4, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
             raise NumericError("non-finite training loss at epoch 1, batch 0")
@@ -180,8 +211,16 @@ class TestTrainCmd:
     def test_global_seed_override(self, corpus4, tmp_path):
         out_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "cfg.txt", corpus4, out_dir, max_epochs=1)
-        assert run("--seed", 123, "train", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--override", "seed=123") == 0
         assert load_checkpoint(out_dir / "checkpoint.bemx").cfg.seed == 123
+
+
+    def test_path_overrides_win_over_config_file(self, corpus4, tmp_path):
+        cfg = write_config(tmp_path / "cfg.txt", tmp_path / "no_corpus", tmp_path / "file_run", max_epochs=1)
+        out_dir = tmp_path / "override_run"
+        assert run("train", "--config", cfg, "--override", f"corpus_root={corpus4}", "--override", f"out_dir={out_dir}") == 0
+        assert (out_dir / "checkpoint.bemx").is_file()
+        assert not (tmp_path / "file_run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +307,15 @@ class TestEvaluateCmd:
         capsys.readouterr()
         assert run("evaluate", "--checkpoint", path, "--corpus", corpus) == 1
         assert "model expects" in capsys.readouterr().err
+
+    def test_checkpoint_without_positional_encoding_exit_1(self, trained, tmp_path, capsys):
+        corpus, _ = trained
+        path = write_corrupt_config_checkpoint(
+            tmp_path / "ck.bemx", "head_hidden=4\n", "head_hidden=4\nuse_positional_encoding=false\n"
+        )
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", path, "--corpus", corpus) == 1
+        assert "use_positional_encoding=false" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, trained, tmp_path):
         corpus, _ = trained

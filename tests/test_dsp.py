@@ -4,7 +4,6 @@ from scipy.fft import dct as scipy_dct
 
 from moe_profiler.audio import Waveform
 from moe_profiler.dsp import (
-    FeatureSequence,
     cmvn,
     delta,
     fbank,
@@ -53,16 +52,16 @@ class TestFraming:
 
 class TestFbank:
     def test_width_240(self):
-        assert fbank(wave(tone_wave(500.0, 0.2))).frames.shape[1] == 240
+        assert fbank(wave(tone_wave(500.0, 0.2))).shape[1] == 240
 
     def test_silence_constant_with_zero_deltas(self):
-        f = fbank(wave(np.zeros(8000) + 0.0)).frames
+        f = fbank(wave(np.zeros(8000) + 0.0))
         assert np.allclose(f[:, 80:], 0.0, atol=1e-9)
         assert np.allclose(f[:, :80], f[0, :80])
 
     def test_matches_brute_force_dft_oracle(self):
         w = wave(tone_wave(1000.0, seconds=0.2) + 0.05 * tone_wave(3200.0, 0.2))
-        got = fbank(w).frames
+        got = fbank(w)
         # recompute statics for frames 0..4 from scratch, then the deltas of frame 2
         statics = np.stack([brute_log_mel_frame(w.samples, t) for t in range(5)])
         assert np.allclose(got[2, :80], statics[2], rtol=1e-6, atol=1e-9)
@@ -70,7 +69,7 @@ class TestFbank:
 
     def test_pure_tone_energy_location_stable(self):
         w = wave(tone_wave(1000.0, seconds=0.3))
-        got = fbank(w).frames[:, :80]
+        got = fbank(w)[:, :80]
         oracle_bin = int(np.argmax(brute_log_mel_frame(w.samples, 4)))
         argmaxes = np.argmax(got[2:-2], axis=1)
         assert np.all(argmaxes == oracle_bin)
@@ -82,7 +81,7 @@ class TestFbank:
 
 class TestMfcc:
     def test_width_48(self):
-        assert mfcc(wave(tone_wave(500.0, 0.2))).frames.shape[1] == 48
+        assert mfcc(wave(tone_wave(500.0, 0.2))).shape[1] == 48
 
     def test_dct_of_constant_hits_c0_only(self):
         v = np.full(80, 3.3)
@@ -94,7 +93,7 @@ class TestMfcc:
 
     def test_matches_brute_force_dct_oracle(self):
         w = wave(tone_wave(700.0, seconds=0.2, amp=0.5))
-        got = mfcc(w).frames
+        got = mfcc(w)
         statics = np.stack([brute_dct2_ortho(brute_log_mel_frame(w.samples, t))[:16] for t in range(5)])
         assert np.allclose(got[2, :16], statics[2], rtol=1e-6, atol=1e-9)
         assert np.allclose(got[2, 16:32], brute_delta_row(statics), rtol=1e-6, atol=1e-9)
@@ -112,31 +111,31 @@ class TestDelta:
 
     def test_second_order_columns_are_delta_of_delta(self):
         w = wave(tone_wave(700.0, seconds=0.2, amp=0.5) + 0.05 * tone_wave(3200.0, 0.2))
-        f = fbank(w).frames
+        f = fbank(w)
         assert np.array_equal(f[:, 160:240], delta(delta(f[:, :80])))
-        m = mfcc(w).frames
+        m = mfcc(w)
         assert np.array_equal(m[:, 32:48], delta(delta(m[:, :16])))
 
 
 class TestCmvn:
     def seq(self, arr):
-        return FeatureSequence(np.asarray(arr, dtype=np.float64), "conv")
+        return np.asarray(arr, dtype=np.float64)
 
     def test_zero_mean_columns(self, rng):
-        out = cmvn(self.seq(rng.normal(loc=3.0, size=(50, 7)))).frames
+        out = cmvn(self.seq(rng.normal(loc=3.0, size=(50, 7))))
         assert np.abs(out.mean(axis=0)).max() < 1e-6
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_constant_column_zeroed(self):
         x = np.ones((10, 2))
         x[:, 1] = np.arange(10.0)
-        out = cmvn(self.seq(x)).frames
+        out = cmvn(self.seq(x))
         assert np.allclose(out[:, 0], 0.0)
 
     def test_idempotent(self, rng):
         f = self.seq(rng.normal(size=(30, 5)))
-        once = cmvn(f).frames
-        twice = cmvn(cmvn(f)).frames
+        once = cmvn(f)
+        twice = cmvn(cmvn(f))
         assert np.abs(once - twice).max() < 1e-5
 
     def test_single_frame_rejected(self):
@@ -158,8 +157,8 @@ def test_mel_filterbank_built_once_and_read_only():
 
 def test_features_pure_function():
     w = wave(tone_wave(640.0, 0.2))
-    assert np.array_equal(fbank(w).frames, fbank(w).frames)
-    assert np.array_equal(mfcc(w).frames, mfcc(w).frames)
+    assert np.array_equal(fbank(w), fbank(w))
+    assert np.array_equal(mfcc(w), mfcc(w))
 
 
 def _frozen_features(kind, w):
@@ -188,12 +187,12 @@ def _frozen_features(kind, w):
 @pytest.mark.parametrize("n", [560, 561, 719, 720, 7700, 12000, 15000, 48000])
 def test_features_bytewise_equal_frozen_formulas(n):
     w = wave(np.random.default_rng(n).uniform(-0.5, 0.5, n))
-    assert cmvn(fbank(w)).frames.tobytes() == _frozen_features("fbank", w).tobytes()
-    assert cmvn(mfcc(w)).frames.tobytes() == _frozen_features("mfcc", w).tobytes()
+    assert cmvn(fbank(w)).tobytes() == _frozen_features("fbank", w).tobytes()
+    assert cmvn(mfcc(w)).tobytes() == _frozen_features("mfcc", w).tobytes()
 
 
 def test_cmvn_leaves_its_input_unchanged(rng):
     frames = rng.normal(size=(20, 6))
-    seq = FeatureSequence(frames.copy(), "other")
+    seq = frames.copy()
     cmvn(seq)
-    assert np.array_equal(seq.frames, frames)
+    assert np.array_equal(seq, frames)

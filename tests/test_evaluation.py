@@ -71,6 +71,15 @@ class TestReport:
         assert len(lines[0].split(",")) == len(lines[1].split(","))
 
 
+def test_csv_header_is_the_report_float_fields_in_order():
+    rep = build_report([30.0, 40.0], [31.0, 42.0], [170.0, 160.0], [172.0, 158.0], [0.2, 0.9], [0, 1])
+    assert rep.to_csv().split("\n")[0] == (
+        "height_rmse_male,height_rmse_female,height_mae_male,height_mae_female,"
+        "age_rmse_male,age_rmse_female,age_mae_male,age_mae_female,"
+        "age_rmse_all,age_mae_all,height_rmse_all,height_mae_all,gender_accuracy"
+    )
+
+
 def test_pct_change_identity_and_sign():
     assert pct_change(5.0, 5.0) == 0.0
     assert pct_change(6.0, 5.0) == pytest.approx(20.0)

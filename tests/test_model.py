@@ -151,8 +151,9 @@ class TestEncoder:
             out = net.forward_features(rng.normal(size=(1, t, 6)).astype(np.float32))
             assert out.age_z.shape == (1,)
 
-    def test_permutation_equivariance_without_pe(self, rng):
-        net = SpeakerProfiler(feats_config(use_positional_encoding=False))
+    def test_encoder_alone_is_permutation_equivariant(self, rng):
+        # positions enter in expert_forward, before the encoder; the encoder itself is order-blind
+        net = SpeakerProfiler(feats_config())
         x = rng.normal(size=(1, 9, 6)).astype(np.float32)
         perm = rng.permutation(9)
         proj = net._lin(Tensor(x), "expert_m.proj")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moe_profiler import pipeline
+from moe_profiler import dsp, pipeline
 from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import DataError
@@ -213,3 +213,11 @@ class TestBatches:
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(DataError):
             next(pooled_batches(fake_samples([8000]), 0, 0, 1))
+
+
+@pytest.mark.parametrize("kind", ["fbank", "mfcc"])
+def test_featurize_returns_a_plain_array(corpus4_records, kind):
+    wave = read_audio(corpus4_records[0].utterance_path)
+    feats = pipeline.featurize(kind, wave)
+    assert type(feats) is np.ndarray
+    assert feats.shape == (dsp.num_frames(len(wave), wave.sample_rate), dsp.FEATURE_DIMS[kind])

@@ -150,6 +150,12 @@ def test_impossible_model_shape_rejected(key, value):
         tiny_config(**{key: value})
 
 
+@pytest.mark.parametrize("key,value", [("seed", -1), ("lr", np.inf), ("lr", np.nan), ("lr", -np.inf)])
+def test_impossible_run_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tiny_config(**{key: value})
+
+
 def test_smallest_model_shape_runs(corpus4_records):
     cfg = tiny_config(model_dim=2, num_heads=1, ff_dim=1, expert_dim=1, head_hidden=1, num_layers=0, conv_channels=2)
     net = SpeakerProfiler(cfg)
