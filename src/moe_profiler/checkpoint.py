@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, config_from_items, parse_config_text
+from .config import TrainConfig, config_from_items, parse_config_text, parse_value
 from .errors import ConfigError, FormatError
 from .metrics import NormStats
 from .model import SpeakerProfiler, param_specs
@@ -106,6 +106,10 @@ def load_checkpoint(path) -> Checkpoint:
         pe = items.pop("use_positional_encoding", "true")
         if pe != "true":
             raise ConfigError(f"{path}: use_positional_encoding={pe} is no longer supported")
+        # patience below 1 was once accepted, and stopped training at the first
+        # epoch without improvement, as 1 does
+        if "patience" in items and parse_value("patience", items["patience"]) < 1:
+            items["patience"] = "1"
         cfg = config_from_items(items)
         norm = NormStats(*struct.unpack("<dddd", _read_exact(f, 32, "norm stats", path)))
         (best_epoch,) = struct.unpack("<I", _read_exact(f, 4, "best epoch", path))

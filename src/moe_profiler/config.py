@@ -14,8 +14,9 @@ MODES = ("bi_encoder", "single_encoder")
 DEFAULT_LR = {"conv": 1e-6, "fbank": 1e-5, "mfcc": 1e-5}
 
 # smallest allowed value of each integer setting; numpy seeds are non-negative,
-# and layer norm needs two features, so the conv channels and the encoder width
-# start at two
+# layer norm needs two features, so the conv channels and the encoder width
+# start at two, and training stops after `patience` epochs without improvement,
+# so it stops at the first one when patience is 1
 MIN_VALUES = {
     "seed": 0,
     "max_epochs": 1,
@@ -28,6 +29,7 @@ MIN_VALUES = {
     "expert_dim": 1,
     "head_hidden": 1,
     "conv_channels": 2,
+    "patience": 1,
 }
 
 
@@ -89,7 +91,8 @@ _FIELD_TYPES = {
 }
 
 
-def _parse_value(key, raw):
+def parse_value(key, raw):
+    """One setting's value parsed from its text by the setting's type."""
     raw = raw.strip()
     ftype = _FIELD_TYPES[key]
     try:
@@ -115,7 +118,7 @@ def config_from_items(items: dict) -> TrainConfig:
     for key, raw in items.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-        kwargs[key] = _parse_value(key, raw)
+        kwargs[key] = parse_value(key, raw)
     return TrainConfig(**kwargs)
 
 

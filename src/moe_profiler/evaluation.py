@@ -23,9 +23,7 @@ def evaluate(net, norm, records, waves=None) -> EvalReport:
     """
     if not records:
         raise DataError("no records to evaluate")
-    ages_t, heights_t, genders_t = record_labels(records)
-    ages_p, heights_p, genders_p = predict_records(net, norm, records, waves)
-    return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
+    return _report(predict_records(net, norm, records, waves), record_labels(records))
 
 
 def constant_mean_report(norm, records) -> EvalReport:
@@ -41,6 +39,14 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
     """Percentage RMSE change per masked phone class, against unmasked audio.
 
     Records without a readable transcription are excluded with a warning.
+    The unmasked audio is predicted once; its report is the table's base, the
+    report evaluate gives. mask_phone_class returns its input when a class's
+    mask changes no sample, and such a record takes its base prediction, so a
+    class is re-predicted only on the records whose audio its mask changes.
+    Inference is deterministic, so where every record or none changes, the
+    rows are those of predicting every masked record; where only some change,
+    they are predicted in other length groups and agree within float32
+    rounding (see predict_samples).
     """
     usable = []
     transcriptions = []
@@ -54,12 +60,23 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
         raise DataError("no records with transcriptions to analyze")
 
     waves = [read_audio(r.utterance_path) for r in usable]
-    base = evaluate(net, norm, usable, waves)
+    truth = record_labels(usable)
+    base_preds = predict_records(net, norm, usable, waves)
+    base = _report(base_preds, truth)
     rows = {}
     for cls in TABLE_ORDER:
-        # a generator: predict_records masks one window of records at a time
-        masked_waves = (mask_phone_class(w, t, cls) for w, t in zip(waves, transcriptions))
-        masked = evaluate(net, norm, usable, masked_waves)
+        changed = [i for i, (w, t) in enumerate(zip(waves, transcriptions)) if mask_phone_class(w, t, cls) is not w]
+        log.info(
+            "%s: %d of %d records changed, base predictions reused for %d",
+            cls.value, len(changed), len(usable), len(usable) - len(changed),
+        )
+        preds = tuple(p.copy() for p in base_preds)
+        if changed:
+            # masked again as a generator: predict_records holds one window of masked copies at a time
+            masked_waves = (mask_phone_class(waves[i], transcriptions[i], cls) for i in changed)
+            for full, part in zip(preds, predict_records(net, norm, [usable[i] for i in changed], masked_waves)):
+                full[changed] = part
+        masked = _report(preds, truth)
         rows[cls] = (
             pct_change(masked.height_rmse_male, base.height_rmse_male),
             pct_change(masked.height_rmse_female, base.height_rmse_female),
@@ -67,3 +84,9 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
             pct_change(masked.age_rmse_female, base.age_rmse_female),
         )
     return ImportanceTable(base=base, rows=rows)
+
+
+def _report(preds, truth) -> EvalReport:
+    """build_report from predict_records' (ages, heights, genders) and record_labels' arrays."""
+    (ages_p, heights_p, genders_p), (ages_t, heights_t, genders_t) = preds, truth
+    return build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)

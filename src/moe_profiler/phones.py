@@ -104,15 +104,25 @@ def parse_phn(path) -> PhoneticTranscription:
 
 
 def mask_phone_class(w: Waveform, t: PhoneticTranscription, cls: PhoneClass) -> Waveform:
-    """Zero every sample inside segments of the given class; others untouched."""
-    out = w.samples.copy()
-    n = len(out)
+    """Zero every sample inside segments of the given class; others untouched.
+
+    Segments are clipped to the waveform, with a warning for any that exceeds
+    it. When the clipped segments hold no nonzero sample (the class is absent,
+    or its audio is already exact zero), the mask changes nothing and w itself
+    is returned; otherwise a masked copy.
+    """
+    n = len(w.samples)
+    spans = []
     for start, end, sym in t.segments:
         if phone_class_of(sym) is not cls:
             continue
         if end > n or start >= n:
             log.warning("segment [%d, %d) exceeds waveform length %d; clipping", start, end, n)
-        s, e = min(start, n), min(end, n)
+        spans.append((min(start, n), min(end, n)))
+    if not any(w.samples[s:e].any() for s, e in spans):
+        return w
+    out = w.samples.copy()
+    for s, e in spans:
         out[s:e] = 0.0
     return Waveform(out, w.sample_rate)
 

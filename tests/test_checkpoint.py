@@ -211,3 +211,18 @@ def test_stored_positional_encoding_true_is_dropped_on_load(tmp_path, corpus4_re
     assert all(a.tensors[n].tobytes() == b.tensors[n].tobytes() for n in a.tensors)
     reports = [evaluate(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
     assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_stored_patience_below_1_loads_as_1(tmp_path, corpus4_records, value):
+    # checkpoints written before patience had a lower bound may store 0 or a
+    # negative; it stopped training as 1 does, and the model evaluates unchanged
+    plain = tmp_path / "plain.bemx"
+    cfg = tiny_config(patience=1)
+    save_checkpoint(plain, cfg, NORM, SpeakerProfiler(tiny_config()).parameters())
+    old = write_corrupt_config_checkpoint(tmp_path / "old.bemx", "patience=1000\n", f"patience={value}\n")
+    a, b = load_checkpoint(plain), load_checkpoint(old)
+    assert b.cfg.patience == 1
+    assert a.cfg == b.cfg
+    reports = [evaluate(restore_model(ck), ck.norm, corpus4_records) for ck in (a, b)]
+    assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])

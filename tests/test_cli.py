@@ -170,6 +170,12 @@ class TestTrainCmd:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists() and not (tmp_path / "c").exists()
 
+    def test_patience_below_1_exit_1_names_patience(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "patience=0") == 1
+        assert "patience must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_diverged_run_without_val_split_exit_3(self, corpus4, tmp_path, capsys, monkeypatch):
         step = training.Adam.step
 
@@ -208,7 +214,7 @@ class TestTrainCmd:
         ck = load_checkpoint(out_dir / "checkpoint.bemx")
         assert ck.cfg.lr == pytest.approx(1e-4)
 
-    def test_global_seed_override(self, corpus4, tmp_path):
+    def test_seed_override(self, corpus4, tmp_path):
         out_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "cfg.txt", corpus4, out_dir, max_epochs=1)
         assert run("train", "--config", cfg, "--override", "seed=123") == 0

@@ -1,3 +1,6 @@
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_impo
 from moe_profiler.metrics import build_report, mae, pct_change, rmse
 from moe_profiler.model import SpeakerProfiler
 from moe_profiler.pipeline import predict_records
-from moe_profiler.phones import TABLE_ORDER, PhoneClass
+from moe_profiler.phones import TABLE_ORDER, PhoneClass, mask_phone_class, parse_phn
 from moe_profiler.training import train
 
 from .conftest import tiny_config
@@ -181,4 +184,75 @@ class TestImportance:
         for cls in TABLE_ORDER:
             if cls is PhoneClass.VOWELS:
                 continue
+            assert table.rows[cls] == (0.0, 0.0, 0.0, 0.0), cls
+
+
+@pytest.fixture
+def affricate_records(corpus16_records_module, tmp_path):
+    """Copies of the test records whose second vowel is relabelled jh in the first and last only."""
+    test_recs = [r for r in corpus16_records_module if r.split == "test"]
+    copies = []
+    for k, r in enumerate(test_recs):
+        folder = tmp_path / r.speaker_id
+        folder.mkdir()
+        wav, phn = folder / r.utterance_path.name, folder / r.phn_path.name
+        shutil.copyfile(r.utterance_path, wav)
+        lines = r.phn_path.read_text().splitlines()
+        if k in (0, len(test_recs) - 1):
+            start, end, _ = lines[3].split()
+            lines[3] = f"{start} {end} jh"
+        phn.write_text("\n".join(lines) + "\n")
+        copies.append(dataclasses.replace(r, utterance_path=wav, phn_path=phn))
+    return copies
+
+
+class TestPartialPresence:
+    def test_only_changed_records_are_re_predicted(self, trained16, affricate_records, monkeypatch, caplog):
+        net, result = trained16
+        forwarded = []
+        batch_forward = pipeline.batch_forward
+
+        def recording_forward(net, samples, training=False):
+            forwarded.append(sorted((s.age_years, s.height_cm) for s in samples))
+            return batch_forward(net, samples, training)
+
+        monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
+        with caplog.at_level("INFO", logger="moe_profiler.evaluation"):
+            phoneme_importance(net, result.norm, affricate_records)
+        labels = sorted((float(r.age_years), r.height_cm) for r in affricate_records)
+        with_jh = sorted((float(r.age_years), r.height_cm) for r in (affricate_records[0], affricate_records[-1]))
+        # one group each: the unmasked audio, the Vowels pass, the Affricates pass
+        assert forwarded == [labels, labels, with_jh]
+        n = len(affricate_records)
+        assert f"Affricates: 2 of {n} records changed" in caplog.text
+        assert f"Nasals: 0 of {n} records changed" in caplog.text
+
+    def test_affricates_row_matches_masking_every_record(self, trained16, affricate_records, monkeypatch):
+        net, result = trained16
+        reports = []
+        build = evaluation.build_report
+
+        def recording_build(*args):
+            reports.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(evaluation, "build_report", recording_build)
+        table = phoneme_importance(net, result.norm, affricate_records)
+        # build_report runs for the base, then for each class in TABLE_ORDER
+        got = reports[1 + TABLE_ORDER.index(PhoneClass.AFFRICATES)]
+        waves = [read_audio(r.utterance_path) for r in affricate_records]
+        masked = [mask_phone_class(w, parse_phn(r.phn_path), PhoneClass.AFFRICATES) for w, r in zip(waves, affricate_records)]
+        ages, heights, genders = predict_records(net, result.norm, affricate_records, masked)
+        np.testing.assert_allclose(got[0], ages, rtol=1e-5)
+        np.testing.assert_allclose(got[2], heights, rtol=1e-5)
+        np.testing.assert_allclose(got[4], genders, rtol=1e-5, atol=1e-6)
+        ref = evaluate(net, result.norm, affricate_records, masked)
+        fields = ("height_rmse_male", "height_rmse_female", "age_rmse_male", "age_rmse_female")
+        have = build(*got)
+        np.testing.assert_allclose([getattr(have, f) for f in fields], [getattr(ref, f) for f in fields], rtol=1e-5)
+        # an RMSE within rtol 1e-5 moves its percentage change by about 1e-3 points at most
+        want = [pct_change(getattr(ref, f), getattr(table.base, f)) for f in fields]
+        assert all(w != 0.0 for w in want)
+        np.testing.assert_allclose(table.rows[PhoneClass.AFFRICATES], want, rtol=0, atol=1e-3)
+        for cls in (PhoneClass.NASALS, PhoneClass.SEMIVOWELS, PhoneClass.FRICATIVES, PhoneClass.STOPS, PhoneClass.OTHERS):
             assert table.rows[cls] == (0.0, 0.0, 0.0, 0.0), cls

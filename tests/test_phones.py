@@ -108,7 +108,33 @@ class TestMasking:
     def test_absent_class_is_identity(self):
         w = self.wave()
         out = mask_phone_class(w, make_transcription(), PhoneClass.NASALS)
+        assert out is w
         assert np.array_equal(out.samples, w.samples)
+
+    def test_class_already_exact_zero_returns_its_input(self):
+        w = self.wave()
+        for s, e in ((0, 100), (400, 500), (800, 1000)):
+            w.samples[s:e] = 0.0
+        assert mask_phone_class(w, make_transcription(), PhoneClass.OTHERS) is w
+
+    def test_one_nonzero_sample_gives_a_masked_copy(self):
+        w = self.wave()
+        for s, e in ((0, 100), (400, 500), (800, 1000)):
+            w.samples[s:e] = 0.0
+        w.samples[450] = 0.25
+        before = w.samples.copy()
+        out = mask_phone_class(w, make_transcription(), PhoneClass.OTHERS)
+        assert out is not w and out.samples is not w.samples
+        assert np.all(out.samples[400:500] == 0.0)
+        assert np.array_equal(w.samples, before)
+
+    def test_present_class_returns_a_new_waveform(self):
+        w = self.wave()
+        before = w.samples.copy()
+        out = mask_phone_class(w, make_transcription(), PhoneClass.VOWELS)
+        assert out is not w and out.samples is not w.samples
+        assert out.sample_rate == w.sample_rate
+        assert np.array_equal(w.samples, before)
 
     def test_masked_fraction_matches_counting_oracle(self, rng):
         w = self.wave()

@@ -150,7 +150,9 @@ def test_impossible_model_shape_rejected(key, value):
         tiny_config(**{key: value})
 
 
-@pytest.mark.parametrize("key,value", [("seed", -1), ("lr", np.inf), ("lr", np.nan), ("lr", -np.inf)])
+@pytest.mark.parametrize(
+    "key,value", [("seed", -1), ("lr", np.inf), ("lr", np.nan), ("lr", -np.inf), ("patience", 0), ("patience", -5)]
+)
 def test_impossible_run_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         tiny_config(**{key: value})
