@@ -100,7 +100,10 @@ class TestMasking:
 
     def test_unmasked_samples_bit_identical(self):
         w = self.wave()
+        before = w.samples.copy()
         out = mask_phone_class(w, make_transcription(), PhoneClass.VOWELS)
+        assert out is not w and out.samples is not w.samples
+        assert np.array_equal(w.samples, before)
         assert np.array_equal(out.samples[:100], w.samples[:100])
         assert np.array_equal(out.samples[400:], w.samples[400:])
         assert len(out.samples) == len(w.samples)
@@ -126,14 +129,6 @@ class TestMasking:
         out = mask_phone_class(w, make_transcription(), PhoneClass.OTHERS)
         assert out is not w and out.samples is not w.samples
         assert np.all(out.samples[400:500] == 0.0)
-        assert np.array_equal(w.samples, before)
-
-    def test_present_class_returns_a_new_waveform(self):
-        w = self.wave()
-        before = w.samples.copy()
-        out = mask_phone_class(w, make_transcription(), PhoneClass.VOWELS)
-        assert out is not w and out.samples is not w.samples
-        assert out.sample_rate == w.sample_rate
         assert np.array_equal(w.samples, before)
 
     def test_masked_fraction_matches_counting_oracle(self, rng):
