@@ -123,8 +123,9 @@ def config_from_items(items: dict) -> TrainConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat key=value lines ('#' or ';' start comments) into a dict."""
+    """Parse flat key=value lines ('#' or ';' start comments) into a dict; a key set twice is an error."""
     items = {}
+    lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -132,5 +133,9 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got '{line}'")
         key, _, value = line.partition("=")
-        items[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"config key '{key}' set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        items[key] = value.strip()
     return items

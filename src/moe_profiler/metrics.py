@@ -105,14 +105,11 @@ class EvalReport:
 _REPORT_FIELDS = tuple(f.name for f in fields(EvalReport) if f.type is float)
 
 
-def build_report(ages_pred, ages_true, heights_pred, heights_true, genders_pred, genders_true) -> EvalReport:
-    """Assemble an EvalReport, grouping regression metrics by true gender."""
-    ages_pred = np.asarray(ages_pred, dtype=np.float64)
-    ages_true = np.asarray(ages_true, dtype=np.float64)
-    heights_pred = np.asarray(heights_pred, dtype=np.float64)
-    heights_true = np.asarray(heights_true, dtype=np.float64)
-    genders_pred = np.asarray(genders_pred, dtype=np.float64)
-    genders_true = np.asarray(genders_true)
+def build_report(preds, truth) -> EvalReport:
+    """EvalReport of predict_samples' (ages, heights, genders) against record_labels', grouped by true gender."""
+    ages_pred, heights_pred, genders_pred = (np.asarray(p, dtype=np.float64) for p in preds)
+    ages_true, heights_true = (np.asarray(t, dtype=np.float64) for t in truth[:2])
+    genders_true = np.asarray(truth[2])
     male = genders_true == 0
     female = genders_true == 1
 

@@ -44,7 +44,7 @@ def record_sample(net, record, wave: Waveform) -> LabeledSample:
 
 
 def record_labels(records):
-    """(ages, heights, genders) label arrays in record order, as predict_records returns predictions."""
+    """(ages, heights, genders) label arrays in record order, as predict_samples returns predictions."""
     ages = np.array([r.age_years for r in records], dtype=np.float64)
     heights = np.array([r.height_cm for r in records], dtype=np.float64)
     genders = np.array([r.gender for r in records], dtype=np.int64)
@@ -179,16 +179,9 @@ def predict_samples(net, norm, samples):
     return tuple(np.concatenate(acc) if acc else np.empty(0) for acc in preds)
 
 
-def predict_records(net, norm, records, waves=None):
-    """Predict every record with predict_samples, preparing each as its window is read.
+def predict_records(net, norm, records):
+    """Predict every record with predict_samples, reading and preparing each as its window is taken.
 
-    waves holds one Waveform per record, in record order (phone masking passes
-    altered audio this way), and is consumed one window at a time; when
-    omitted, each record's audio is read. A waves of another length than
-    records raises ValueError. Returns (ages, heights, genders) arrays in
-    record order.
+    Returns (ages, heights, genders) arrays in record order.
     """
-    if waves is None:
-        waves = (read_audio(r.utterance_path) for r in records)
-    samples = (record_sample(net, record, wave) for record, wave in zip(records, waves, strict=True))
-    return predict_samples(net, norm, samples)
+    return predict_samples(net, norm, (record_sample(net, r, read_audio(r.utterance_path)) for r in records))

@@ -168,8 +168,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
 
     result = TrainResult(cfg=cfg, norm=norm, best_params=best_params, best_epoch=best_epoch, log_rows=rows)
     if best_preds is not None:
-        (ages_p, heights_p, genders_p), (ages_t, heights_t, genders_t) = best_preds, val_labels
-        result.val_report = build_report(ages_p, ages_t, heights_p, heights_t, genders_p, genders_t)
+        result.val_report = build_report(best_preds, val_labels)
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -136,6 +136,15 @@ class TestTrainCmd:
         assert run("train", "--config", cfg) == 1
         assert "learninng_rate" in capsys.readouterr().err
 
+    def test_key_set_twice_exit_1_names_key_and_lines(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        lines = cfg.read_text().replace("seed=7", "seed=1\nseed=2").splitlines()
+        cfg.write_text("\n".join(lines) + "\n")
+        first = lines.index("seed=1") + 1
+        assert run("train", "--config", cfg) == 1
+        assert f"config key 'seed' set twice, on lines {first} and {first + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_impossible_override_exit_1_names_key(self, corpus4, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
         for key in ("num_heads", "max_epochs"):

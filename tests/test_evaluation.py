@@ -11,7 +11,7 @@ from moe_profiler.errors import ContractError, FormatError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
 from moe_profiler.metrics import build_report, mae, pct_change, rmse
 from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import predict_records
+from moe_profiler.pipeline import predict_records, predict_samples, record_labels, record_sample
 from moe_profiler.phones import TABLE_ORDER, PhoneClass, mask_phone_class, parse_phn
 from moe_profiler.training import train
 
@@ -48,26 +48,24 @@ class TestReport:
         genders = np.array([i % 2 for i in range(n)])
         ages = rng.uniform(21, 76, n)
         heights = rng.uniform(150, 200, n)
-        return ages + rng.normal(size=n), ages, heights + rng.normal(size=n), heights, rng.random(n), genders
+        return (ages + rng.normal(size=n), heights + rng.normal(size=n), rng.random(n)), (ages, heights, genders)
 
     def test_pooled_between_per_gender(self, rng):
-        ap, at, hp, ht, gp, gt = self.synth_predictions(rng)
-        rep = build_report(ap, at, hp, ht, gp, gt)
+        rep = build_report(*self.synth_predictions(rng))
         lo, hi = sorted((rep.age_rmse_male, rep.age_rmse_female))
         assert lo - 1e-9 <= rep.age_rmse_all <= hi + 1e-9
         assert rep.age_rmse_male >= rep.age_mae_male
         assert rep.age_rmse_female >= rep.age_mae_female
 
     def test_perfect_oracle_zeroes(self, rng):
-        _, at, _, ht, _, gt = self.synth_predictions(rng)
-        rep = build_report(at, at, ht, ht, gt.astype(float), gt)
+        _, (at, ht, gt) = self.synth_predictions(rng)
+        rep = build_report((at, ht, gt.astype(float)), (at, ht, gt))
         assert rep.age_rmse_male == rep.age_rmse_female == 0.0
         assert rep.height_mae_male == rep.height_mae_female == 0.0
         assert rep.gender_accuracy == 1.0
 
     def test_csv_shape(self, rng):
-        ap, at, hp, ht, gp, gt = self.synth_predictions(rng)
-        rep = build_report(ap, at, hp, ht, gp, gt)
+        rep = build_report(*self.synth_predictions(rng))
         lines = rep.to_csv().strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("height_rmse_male,height_rmse_female")
@@ -75,7 +73,7 @@ class TestReport:
 
 
 def test_csv_header_is_the_report_float_fields_in_order():
-    rep = build_report([30.0, 40.0], [31.0, 42.0], [170.0, 160.0], [172.0, 158.0], [0.2, 0.9], [0, 1])
+    rep = build_report(([30.0, 40.0], [170.0, 160.0], [0.2, 0.9]), ([31.0, 42.0], [172.0, 158.0], [0, 1]))
     assert rep.to_csv().split("\n")[0] == (
         "height_rmse_male,height_rmse_female,height_mae_male,height_mae_female,"
         "age_rmse_male,age_rmse_female,age_mae_male,age_mae_female,"
@@ -125,31 +123,21 @@ class TestEvaluate:
         assert rep.age_rmse_all == pytest.approx(rmse(np.full(len(ages), result.norm.age_mean), ages))
 
     def test_given_waves_equal_read_waves(self, trained16, corpus16_records_module):
+        # phoneme_importance's base pass: predict_samples over record_sample of the waves it holds
         net, result = trained16
         recs = corpus16_records_module[:4]
         waves = [read_audio(r.utterance_path) for r in recs]
-        read = predict_records(net, result.norm, recs)
-        for given in (waves, iter(waves)):
-            for got, want in zip(predict_records(net, result.norm, recs, given), read):
-                assert np.array_equal(got, want)
+        held = predict_samples(net, result.norm, (record_sample(net, r, w) for r, w in zip(recs, waves)))
+        for got, want in zip(held, predict_records(net, result.norm, recs)):
+            assert np.array_equal(got, want)
 
     def test_8khz_waveform_raises_format_error_naming_path(self, trained16, corpus16_records_module):
         net, result = trained16
         rec = corpus16_records_module[0]
         wave = audio.Waveform(read_audio(rec.utterance_path).samples, 8000)
         with pytest.raises(FormatError, match="8000") as info:
-            predict_records(net, result.norm, [rec], [wave])
+            predict_samples(net, result.norm, [record_sample(net, rec, wave)])
         assert str(rec.utterance_path) in str(info.value)
-
-    @pytest.mark.parametrize("n_waves", [3, 5])
-    def test_waves_of_wrong_length_raise(self, trained16, corpus16_records_module, n_waves):
-        net, result = trained16
-        recs = corpus16_records_module[:4]
-        waves = [read_audio(r.utterance_path) for r in corpus16_records_module[:n_waves]]
-        with pytest.raises(ValueError):
-            predict_records(net, result.norm, recs, waves)
-        with pytest.raises(ValueError):
-            evaluate(net, result.norm, recs, iter(waves))
 
 
 class TestImportance:
@@ -187,10 +175,9 @@ class TestImportance:
             assert table.rows[cls] == (0.0, 0.0, 0.0, 0.0), cls
 
 
-@pytest.fixture
-def affricate_records(corpus16_records_module, tmp_path):
-    """Copies of the test records whose second vowel is relabelled jh in the first and last only."""
-    test_recs = [r for r in corpus16_records_module if r.split == "test"]
+def copied_test_records(records, tmp_path, edit):
+    """Copies of the test records; edit(k, record, lines) rewrites the k-th one's .PHN lines in place."""
+    test_recs = [r for r in records if r.split == "test"]
     copies = []
     for k, r in enumerate(test_recs):
         folder = tmp_path / r.speaker_id
@@ -198,12 +185,39 @@ def affricate_records(corpus16_records_module, tmp_path):
         wav, phn = folder / r.utterance_path.name, folder / r.phn_path.name
         shutil.copyfile(r.utterance_path, wav)
         lines = r.phn_path.read_text().splitlines()
-        if k in (0, len(test_recs) - 1):
-            start, end, _ = lines[3].split()
-            lines[3] = f"{start} {end} jh"
+        edit(k, r, lines)
         phn.write_text("\n".join(lines) + "\n")
         copies.append(dataclasses.replace(r, utterance_path=wav, phn_path=phn))
     return copies
+
+
+@pytest.fixture
+def affricate_records(corpus16_records_module, tmp_path):
+    """Copies of the test records whose second vowel is relabelled jh in the first and last only."""
+    n = sum(r.split == "test" for r in corpus16_records_module)
+
+    def relabel(k, record, lines):
+        if k in (0, n - 1):
+            start, end, _ = lines[3].split()
+            lines[3] = f"{start} {end} jh"
+
+    return copied_test_records(corpus16_records_module, tmp_path, relabel)
+
+
+def test_segment_past_the_waveform_warns_once(trained16, corpus16_records_module, tmp_path, caplog):
+    """Each class masks each record once, so an overrunning vowel segment is reported once."""
+    net, result = trained16
+
+    def overrun(k, record, lines):
+        if k == 0:
+            n = len(read_audio(record.utterance_path))
+            lines.append(f"{n} {n + 100} iy")
+
+    records = copied_test_records(corpus16_records_module, tmp_path, overrun)
+    with caplog.at_level("WARNING", logger="moe_profiler.phones"):
+        table = phoneme_importance(net, result.norm, records)
+    assert table.rows[PhoneClass.VOWELS] != (0.0, 0.0, 0.0, 0.0)
+    assert caplog.text.count("exceeds waveform length") == 1
 
 
 class TestPartialPresence:
@@ -232,9 +246,9 @@ class TestPartialPresence:
         reports = []
         build = evaluation.build_report
 
-        def recording_build(*args):
-            reports.append(args)
-            return build(*args)
+        def recording_build(preds, truth):
+            reports.append(preds)
+            return build(preds, truth)
 
         monkeypatch.setattr(evaluation, "build_report", recording_build)
         table = phoneme_importance(net, result.norm, affricate_records)
@@ -242,13 +256,15 @@ class TestPartialPresence:
         got = reports[1 + TABLE_ORDER.index(PhoneClass.AFFRICATES)]
         waves = [read_audio(r.utterance_path) for r in affricate_records]
         masked = [mask_phone_class(w, parse_phn(r.phn_path), PhoneClass.AFFRICATES) for w, r in zip(waves, affricate_records)]
-        ages, heights, genders = predict_records(net, result.norm, affricate_records, masked)
+        samples = [record_sample(net, r, w) for r, w in zip(affricate_records, masked)]
+        ages, heights, genders = predict_samples(net, result.norm, samples)
         np.testing.assert_allclose(got[0], ages, rtol=1e-5)
-        np.testing.assert_allclose(got[2], heights, rtol=1e-5)
-        np.testing.assert_allclose(got[4], genders, rtol=1e-5, atol=1e-6)
-        ref = evaluate(net, result.norm, affricate_records, masked)
+        np.testing.assert_allclose(got[1], heights, rtol=1e-5)
+        np.testing.assert_allclose(got[2], genders, rtol=1e-5, atol=1e-6)
+        truth = record_labels(affricate_records)
+        ref = build((ages, heights, genders), truth)
         fields = ("height_rmse_male", "height_rmse_female", "age_rmse_male", "age_rmse_female")
-        have = build(*got)
+        have = build(got, truth)
         np.testing.assert_allclose([getattr(have, f) for f in fields], [getattr(ref, f) for f in fields], rtol=1e-5)
         # an RMSE within rtol 1e-5 moves its percentage change by about 1e-3 points at most
         want = [pct_change(getattr(ref, f), getattr(table.base, f)) for f in fields]

@@ -109,17 +109,17 @@ def test_predict_records_reads_one_window_at_a_time(records16, waves16, monkeypa
     read = []
     forwards_after = []
 
-    def waves():
-        for r in records16:
-            read.append(r)
-            yield read_audio(r.utterance_path)
+    def counting_read(path):
+        read.append(path)
+        return read_audio(path)
 
     def recording_forward(net, samples, **kwargs):
         forwards_after.append(len(read))
         return batch_forward(net, samples, **kwargs)
 
+    monkeypatch.setattr(pipeline, "read_audio", counting_read)
     monkeypatch.setattr(pipeline, "batch_forward", recording_forward)
-    ages, heights, genders = predict_records(net, norm, records16, waves())
+    ages, heights, genders = predict_records(net, norm, records16)
     monkeypatch.undo()
 
     # the first window closes at the first record that brings it to the budget

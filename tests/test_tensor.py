@@ -12,7 +12,7 @@ from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, NumericError, ShapeError
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
-from moe_profiler.pipeline import batch_forward, predict_records, record_sample
+from moe_profiler.pipeline import batch_forward, predict_samples, record_sample
 from moe_profiler.tensor import Tensor
 
 from .conftest import tiny_config
@@ -632,7 +632,7 @@ def test_steady_state_steps_take_no_page_faults(corpus16):
     batch = [record_sample(net, r, w) for r, w in zip(records, waves)]
 
     def step():
-        predict_records(net, norm, records, waves)
+        predict_samples(net, norm, batch)
         out = batch_forward(net, batch, training=True)
         T.sum_(T.add(out.age_z, out.height_z)).backward()
 
