@@ -127,6 +127,9 @@ def load_checkpoint(path) -> Checkpoint:
             dtype = _DTYPE_CODES[code]
             payload = _read_exact(f, math.prod(shape) * dtype.itemsize, f"tensor '{name}'", path)
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise FormatError(f"{path}: {extra} bytes after the last tensor")
     return Checkpoint(cfg=cfg, norm=norm, best_epoch=best_epoch, tensors=tensors)
 
 

@@ -38,11 +38,16 @@ def _setup_logging():
 
 def _load_run_config(path, overrides):
     items = parse_config_text(Path(path).read_text())
+    overridden = set()
     for ov in overrides or []:
         if "=" not in ov:
             raise ConfigError(f"--override expects key=value, got '{ov}'")
         key, _, value = ov.partition("=")
-        items[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overridden:
+            raise ConfigError(f"--override sets config key '{key}' twice")
+        overridden.add(key)
+        items[key] = value.strip()
     corpus_root = items.pop("corpus_root", None)
     out_dir = items.pop("out_dir", None)
     cfg = config_from_items(items)

@@ -125,12 +125,3 @@ def mask_phone_class(w: Waveform, t: PhoneticTranscription, cls: PhoneClass) -> 
     for s, e in spans:
         out[s:e] = 0.0
     return Waveform(out, w.sample_rate)
-
-
-def class_sample_count(t: PhoneticTranscription, cls: PhoneClass, n_samples) -> int:
-    """Total samples covered by segments of the class, clipped to the waveform."""
-    total = 0
-    for start, end, sym in t.segments:
-        if phone_class_of(sym) is cls:
-            total += max(0, min(end, n_samples) - min(start, n_samples))
-    return total

@@ -5,7 +5,7 @@ import numpy as np
 from .audio import SAMPLE_RATE, Waveform, read_audio
 from .dsp import cmvn, fbank, mfcc
 from .errors import ConfigError, DataError, FormatError, LengthError
-from .losses import LabeledSample, tile_to
+from .losses import LabeledSample
 from .tensor import no_grad
 
 
@@ -51,42 +51,38 @@ def record_labels(records):
     return ages, heights, genders
 
 
-def align_samples(samples):
-    """Tile every sample's input along its first axis to the longest one's.
+def align_samples(samples, dtype):
+    """Write every sample's input once into one zero-padded (B, rows, ...) array in dtype.
 
-    Returns the tiled samples, which all carry the longest audio length, and
-    each sample's own audio length in samples.
+    rows is the longest sample's input length. Returns the array and each
+    sample's own audio length in samples.
     """
     longest = max(samples, key=lambda s: s.n_samples)
-    rows = len(longest.inputs)
-    aligned = [
-        LabeledSample(tile_to(s.inputs, rows), s.height_cm, s.age_years, s.gender, longest.n_samples)
-        for s in samples
-    ]
-    return aligned, [s.n_samples for s in samples]
+    inputs = np.zeros((len(samples),) + longest.inputs.shape, dtype=dtype)
+    for row, s in zip(inputs, samples):
+        row[: len(s.inputs)] = s.inputs
+    return inputs, [s.n_samples for s in samples]
 
 
 def batch_forward(net, samples, training=False):
-    """Align samples (see align_samples), stack their inputs and run the network once.
+    """Pad samples into one batch (see align_samples) and run the network once.
 
-    Attention keys and pooling ignore the frames that exist only because of
-    tiling, so an item's prediction does not depend on its batch-mates.
+    Attention keys and pooling ignore the padded frames, so an item's
+    prediction does not depend on its batch-mates.
     """
-    aligned, orig_lens = align_samples(samples)
-    t_full = net.frames_for_samples(aligned[0].n_samples)
-    frame_mask = np.zeros((len(aligned), t_full), dtype=np.float64)
-    for row, n in zip(frame_mask, orig_lens):
+    inputs, lengths = align_samples(samples, net.dtype)
+    frame_mask = np.zeros((len(samples), net.frames_for_samples(max(lengths))), dtype=np.float64)
+    for row, n in zip(frame_mask, lengths):
         row[: net.frames_for_samples(n)] = 1.0
-    inputs = np.stack([s.inputs for s in aligned])
     if net.cfg.feature_kind == "conv":
         return net.forward_waveforms(inputs, training=training, frame_mask=frame_mask)
     return net.forward_features(inputs, training=training, frame_mask=frame_mask)
 
 
 # training batches are cut from pools of this many batches sorted by audio
-# length, so an item is tiled to a near neighbour's length rather than to the
+# length, so an item is padded to a near neighbour's length rather than to the
 # longest of a random batch; over 2 epochs of ten quick-start corpora (batch 16)
-# the median share of tiled audio in batch samples fell from 22.6% to 10.0%
+# the median share of padded audio in batch samples fell from 22.6% to 10.0%
 # (14.7% with pools of 2), while small pools still vary batches by epoch
 POOL_BATCHES = 4
 
@@ -160,7 +156,7 @@ def predict_samples(net, norm, samples):
     """Predict prepared samples (see record_sample) in eval mode without recording a tape.
 
     Samples are taken in windows of about EVAL_WINDOW_SAMPLES audio samples;
-    each window is sorted by audio length and forwarded in alignment-masked
+    each window is sorted by audio length and forwarded in padded, masked
     groups of at most EVAL_BATCH_SAMPLES samples (longest x count), so each
     prediction equals the sample's own batch-of-one prediction within
     float32 rounding. Returns (ages, heights, genders) arrays in input order.

@@ -76,7 +76,7 @@ def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
     Applies dropout and Adam steps, and mixup when given mix_rng. Batches come
     from pooled_batches: the epoch-salted shuffle is cut into pools of
     POOL_BATCHES batches, each pool sorted by audio length before it is cut,
-    so batch-mates are tiled to similar lengths and mixup pairs them too.
+    so batch-mates are padded to similar lengths and mixup pairs them too.
     """
     sums = [0.0, 0.0, 0.0]
     count = 0

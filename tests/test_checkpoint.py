@@ -106,6 +106,14 @@ def test_truncated_checkpoint_names_path(tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_bytes_after_last_tensor_rejected(tmp_path):
+    path = tmp_path / "ck.bemx"
+    path.write_bytes(bytes(_saved_checkpoint_bytes(path)) + b"\x00" * 700)
+    with pytest.raises(FormatError, match="700 bytes after the last tensor") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bemx"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -11,7 +11,7 @@ from moe_profiler.corpus import scan_corpus
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
 from moe_profiler import training
-from moe_profiler.cli import main
+from moe_profiler.cli import _load_run_config, main
 from moe_profiler.errors import NumericError
 
 from .conftest import tiny_config
@@ -151,6 +151,15 @@ class TestTrainCmd:
             assert run("train", "--config", cfg, "--override", f"{key}=0") == 1
             assert key in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+
+    def test_override_key_given_twice_exit_1_names_key(self, corpus4, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+        assert run("train", "--config", cfg, "--override", "seed=1", "--override", "seed=2") == 1
+        assert "--override sets config key 'seed' twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        # once, it still wins over the file's own value
+        assert "seed=7" in cfg.read_text()
+        assert _load_run_config(cfg, ["seed=2"])[0].seed == 2
 
     def test_removed_alignment_masking_key_exit_1(self, corpus4, tmp_path, capsys):
         # only load_checkpoint forgives the removed key; a config or override that sets it is unknown
@@ -331,6 +340,14 @@ class TestEvaluateCmd:
         capsys.readouterr()
         assert run("evaluate", "--checkpoint", path, "--corpus", corpus) == 1
         assert "use_positional_encoding=false" in capsys.readouterr().err
+
+    def test_checkpoint_with_trailing_bytes_exit_2(self, trained, tmp_path, capsys):
+        corpus, out_dir = trained
+        path = tmp_path / "ck.bemx"
+        path.write_bytes((out_dir / "checkpoint.bemx").read_bytes() + b"\x00" * 700)
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", path, "--corpus", corpus) == 2
+        assert f"{path}: 700 bytes after the last tensor" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, trained, tmp_path):
         corpus, _ = trained

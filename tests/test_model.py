@@ -275,8 +275,8 @@ def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720),
     """Full-model gradient check through frontend, experts, gate, heads, loss.
 
     masked runs a batch of two utterances of unequal lengths (default 3 and
-    2 frames), so the shorter one is tiled and attention's key mask is on
-    the tape. eps is the central-difference step.
+    2 frames), so the shorter one is zero-padded and attention's key mask is
+    on the tape. eps is the central-difference step.
     Returns (worst relative error, params checked).
     """
     net = build_e2e_net()

@@ -6,7 +6,6 @@ from moe_profiler.errors import FormatError
 from moe_profiler.phones import (
     PhoneClass,
     TABLE_ORDER,
-    class_sample_count,
     mask_phone_class,
     parse_phn,
     phone_class_of,
@@ -152,6 +151,15 @@ class TestMasking:
             out = mask_phone_class(w, t, PhoneClass.VOWELS)
         assert np.all(out.samples[900:] == 0.0)
         assert "clipping" in caplog.text
+
+
+def class_sample_count(t, cls, n_samples):
+    """Total samples covered by segments of the class, clipped to the waveform."""
+    total = 0
+    for start, end, sym in t.segments:
+        if phone_class_of(sym) is cls:
+            total += max(0, min(end, n_samples) - min(start, n_samples))
+    return total
 
 
 def _class_slice_mask(t, cls, n):

@@ -39,7 +39,7 @@ def prepare(net, records, waves):
 
 
 def per_utterance(net, samples):
-    """Each sample forwarded alone, so no frame is tiled: the batch-of-one reference."""
+    """Each sample forwarded alone, so no frame is padded: the batch-of-one reference."""
     outs = [batch_forward(net, [s]) for s in samples]
     return {f: np.array([float(getattr(o, f).data[0]) for o in outs]) for f in FIELDS}
 
@@ -72,7 +72,7 @@ def test_predict_records_batches_and_equals_per_utterance(records16, waves16, na
     assert len(batches) < len(records16)
     assert sum(len(b) for b in batches) == len(records16)
     for b in batches:
-        assert len(b) == 1 or len(b) * max(b) <= pipeline.EVAL_BATCH_SAMPLES  # tiled to the longest
+        assert len(b) == 1 or len(b) * max(b) <= pipeline.EVAL_BATCH_SAMPLES  # padded to the longest
     assert all(b == sorted(b) for b in batches)
     assert [b[-1] for b in batches] == sorted(b[-1] for b in batches)
     want = per_utterance(net, prepare(net, records16, waves16))
@@ -82,17 +82,17 @@ def test_predict_records_batches_and_equals_per_utterance(records16, waves16, na
 
 
 @pytest.mark.parametrize("kind", ["conv", "fbank"])
-def test_tiled_samples_do_not_reach_the_shorter_prediction(records16, waves16, kind, rng):
+def test_padded_samples_do_not_reach_the_shorter_prediction(records16, waves16, kind, rng):
     net = SpeakerProfiler(tiny_config(feature_kind=kind))
     pair = sorted(prepare(net, records16[:2], waves16[:2]), key=lambda s: s.n_samples)
-    aligned, orig_lens = align_samples(pair)
+    inputs, orig_lens = align_samples(pair, net.dtype)
     assert orig_lens[0] < orig_lens[1]
     before = batch_forward(net, pair)
 
     # the shorter item arrives as long as the longer one, its n_samples still
-    # its own audio length, with noise where tiling would have put a copy
+    # its own audio length, with noise where padding would have put zeros
     # (audio samples for conv, feature frames for fbank)
-    short = aligned[0].inputs.copy()
+    short = inputs[0].copy()
     real = len(pair[0].inputs)
     short[real:] = rng.uniform(-0.5, 0.5, short[real:].shape)
     after = batch_forward(net, [dataclasses.replace(pair[0], inputs=short), pair[1]])

@@ -9,7 +9,7 @@ from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import mixup, task_losses, tile_to
+from moe_profiler.losses import mixup, task_losses, tile_to, uncertainty_loss
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
@@ -86,19 +86,19 @@ def test_val_split_used_when_enough_records(corpus16, caplog):
     assert result.val_report is not None
 
 
-def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
-    # batch_forward hides the tiled frames from attention keys and from
-    # pooling: against an unmasked forward of the same tiled batch, the shorter
-    # item's prediction changes and the longest item (no tiled frames) is
+def test_alignment_masking_excludes_padded_frames_from_pooling(corpus4_records):
+    # batch_forward hides the padded frames from attention keys and from
+    # pooling: against an unmasked forward of the same padded batch, the shorter
+    # item's prediction changes and the longest item (no padded frames) is
     # bitwise unaffected
     net = SpeakerProfiler(tiny_config())
     samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records[:2]]
     assert samples[0].n_samples != samples[1].n_samples
     shorter = 0 if samples[0].n_samples < samples[1].n_samples else 1
-    aligned, _ = align_samples(samples)
+    inputs, _ = align_samples(samples, net.dtype)
 
     masked = batch_forward(net, samples)
-    unmasked = net.forward_waveforms(np.stack([s.inputs for s in aligned]))
+    unmasked = net.forward_waveforms(inputs)
     assert float(masked.age_z.data[shorter]) != float(unmasked.age_z.data[shorter])
     longest = 1 - shorter
     for field in ("age_z", "height_z", "gender_p"):
@@ -107,7 +107,7 @@ def test_alignment_masking_excludes_tiled_frames_from_pooling(corpus4_records):
 
 @pytest.mark.parametrize("kind", ["fbank", "conv_mixed"])
 def test_training_batch_item_equals_its_batch_of_one(corpus16, kind):
-    # training forwards (training=True, dropout 0) mask the tiled frames as
+    # training forwards (training=True, dropout 0) mask the padded frames as
     # inference does; a mixed item is real up to the longer of its sources
     records = scan_corpus(corpus16)[:8]
     net = SpeakerProfiler(tiny_config(feature_kind=kind.split("_")[0]))
@@ -125,6 +125,37 @@ def test_training_batch_item_equals_its_batch_of_one(corpus16, kind):
             np.testing.assert_allclose(
                 getattr(out, field).data[i], getattr(one, field).data[0], rtol=1e-5, atol=1e-6, err_msg=field
             )
+
+
+@pytest.mark.parametrize("kind", ["conv", "fbank"])
+def test_padding_content_does_not_reach_training_gradients(corpus16, kind, rng):
+    # a training batch at dropout 0.2 through a fresh net each time: noise in
+    # the shorter items' padding instead of zeros leaves every parameter
+    # gradient bitwise unchanged
+    records = scan_corpus(corpus16)[:4]
+    norm = NormStats.fit(records)
+    cfg = tiny_config(feature_kind=kind, dropout_p=0.2)
+    batch = [record_sample(SpeakerProfiler(cfg), r, read_audio(r.utterance_path)) for r in records]
+    rows = max(len(s.inputs) for s in batch)
+    assert any(len(s.inputs) < rows for s in batch)
+    noisy = [
+        dataclasses.replace(
+            s,
+            inputs=np.concatenate([s.inputs, rng.uniform(-0.5, 0.5, (rows - len(s.inputs),) + s.inputs.shape[1:])]),
+        )
+        for s in batch
+    ]
+
+    def gradients(samples):
+        net = SpeakerProfiler(cfg)
+        out = batch_forward(net, samples, training=True)
+        labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
+        uncertainty_loss(*task_losses(out, *labels, norm), *net.log_vars()).backward()
+        return {name: p.grad for name, p in net.parameters().items()}
+
+    padded, noised = gradients(batch), gradients(noisy)
+    for name, grad in padded.items():
+        assert grad is not None and grad.tobytes() == noised[name].tobytes(), name
 
 
 def test_val_fraction_sets_val_split_size(corpus16):
@@ -251,9 +282,9 @@ def test_8khz_val_file_rejected_before_first_step(corpus16, tmp_path, monkeypatc
 
 
 def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
-    # each utterance is featurized from its own audio and tiled as frames to
-    # the longest, with the tiled frames masked; the frames reach a float64
-    # model unrounded
+    # each utterance is featurized from its own audio and padded as frames to
+    # the longest, with the padded frames masked, so the batch equals a masked
+    # forward of frames tiled instead; the frames reach a float64 model unrounded
     net = SpeakerProfiler(tiny_config(feature_kind="fbank"), dtype=np.float64)
     waves = [read_audio(r.utterance_path) for r in corpus4_records[:2]]
     assert len(waves[0]) != len(waves[1])

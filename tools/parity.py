@@ -1,0 +1,98 @@
+"""Print sha256 prefixes of every output of four short training runs.
+
+    python tools/parity.py
+
+Pins BLAS to one thread, synthesizes corpus seed 11 (16 speakers x 2
+utterances) and trains 3 epochs at the README quick-start widths for each
+config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
+bytes, val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
+table CSV and the `predict_records` arrays of the test split.
+
+Two checkouts that print the same lines produce bitwise-equal outputs. The
+hashes depend on the BLAS build and the platform, so compare runs on one
+machine; that is why this is a tool and not a test.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.setdefault("MOE_PROFILER_LOG", "error")
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from moe_profiler.checkpoint import load_checkpoint, restore_model  # noqa: E402
+from moe_profiler.cli import main  # noqa: E402
+from moe_profiler.corpus import scan_corpus  # noqa: E402
+from moe_profiler.pipeline import predict_records  # noqa: E402
+
+QUICK_START = dict(
+    lr="1e-3",
+    max_epochs=3,
+    batch_size=16,
+    seed=11,
+    model_dim=32,
+    num_layers=2,
+    num_heads=4,
+    ff_dim=64,
+    expert_dim=32,
+    head_hidden=16,
+    conv_channels=32,
+    patience=20,
+)
+
+CONFIGS = {
+    "conv_bi_mixup": dict(feature_kind="conv", mode="bi_encoder", mixup_enabled="true", dropout_p=0.1),
+    "conv_single": dict(feature_kind="conv", mode="single_encoder", mixup_enabled="false", dropout_p=0.0),
+    "fbank_bi": dict(feature_kind="fbank", mode="bi_encoder", dropout_p=0.1),
+    "mfcc_single": dict(feature_kind="mfcc", mode="single_encoder", dropout_p=0.0),
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"moe-profiler {argv[0]} exited {code}")
+
+
+def parity(work: Path):
+    corpus = work / "corpus"
+    run_cli("synth", "--out", corpus, "--speakers", 16, "--utts", 2, "--seed", 11)
+    test_records = [r for r in scan_corpus(corpus) if r.split == "test"]
+    for name, extra in CONFIGS.items():
+        out = work / name
+        cfg = work / f"{name}.cfg"
+        items = {"corpus_root": corpus, "out_dir": out, **QUICK_START, **extra}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in items.items()))
+        run_cli("train", "--config", cfg)
+        ckpt = out / "checkpoint.bemx"
+        run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus, "--split", "test", "--out", out / "eval_test.csv")
+        run_cli("analyze-phones", "--checkpoint", ckpt, "--corpus", corpus, "--out", out / "phones.csv")
+        ck = load_checkpoint(ckpt)
+        preds = predict_records(restore_model(ck), ck.norm, test_records)
+        hashes = {
+            "train_log": digest((out / "train_log.csv").read_bytes()),
+            "checkpoint": digest(ckpt.read_bytes()),
+            "val_report": digest((out / "val_report.csv").read_bytes()),
+            "eval_test": digest((out / "eval_test.csv").read_bytes()),
+            "phones": digest((out / "phones.csv").read_bytes()),
+            "predict_records": digest(b"".join(a.tobytes() for a in preds)),
+        }
+        print(name, " ".join(f"{k}={v}" for k, v in hashes.items()))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory(prefix="moe_parity_") as tmp:
+        parity(Path(tmp))
