@@ -2,11 +2,14 @@
 
 A small numpy-backed tape: every operation records its input tensors and a
 backward closure, and ``backward()`` on a scalar walks the recorded graph in
-reverse topological order. Gradients accumulate into ``.grad`` buffers across
-repeated backward calls until they are explicitly zeroed, which keeps
-multi-loss graphs explicit. Inside ``no_grad()`` no tape is recorded, so
-a forward-only pass frees each intermediate array as soon as the next op has
-used it.
+reverse topological order. It consumes the graph as it walks it: once a
+node's backward closure has run, the node drops it and its inputs, so each
+layer's saved buffers are freed before the layers below are differentiated.
+A graph can therefore be backpropagated once; to train on several losses,
+sum them first, as ``uncertainty_loss`` does. Leaf gradients accumulate into
+``.grad`` across separately built graphs until they are zeroed. Inside
+``no_grad()`` no tape is recorded, so a forward-only pass frees each
+intermediate array as soon as the next op has used it.
 
 float32 is the working precision. Constructing a tensor from a float64 array
 keeps float64; the gradient-check tests rely on this to run the whole stack
@@ -575,11 +578,20 @@ def _overlap_add(gcol, t, stride, dtype):
     return gx
 
 
+def _im2col(x, k, stride):
+    """(B, T, C_in) -> (B, T', K*C_in) windows, k-major to match w.reshape(K*C_in, C_out)."""
+    bsz, _, cin = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, ::stride]  # (B, T', C_in, K)
+    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(bsz, win.shape[1], k * cin)
+
+
 def conv1d(x, w, b, stride):
     """Valid (no padding) strided 1D convolution.
 
     x: (B, T, C_in), w: (K, C_in, C_out), b: (C_out,). Output frames are
-    1 + floor((T - K) / stride).
+    1 + floor((T - K) / stride). The im2col windows are not kept for
+    backward: the vjp rebuilds them from x, bitwise the same, for the weight
+    gradient only, and returns None for any input that needs no gradient.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -594,20 +606,20 @@ def conv1d(x, w, b, stride):
         raise ShapeError(f"conv1d input of {t} samples is shorter than kernel {k}")
     stride = int(stride)
     tp = (t - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
-    # (B, T', C_in, K) -> (B, T', K*C_in), k-major to match w.reshape
-    col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(bsz, tp, k * cin)
     w2 = w.data.reshape(k * cin, cout)
-    data = col @ w2
+    data = _im2col(x.data, k, stride) @ w2
     data += b.data
 
     def vjp(g):
-        gw2 = col.reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
-        gb = g.sum(axis=(0, 1))
-        gx = None
+        gx = gw = gb = None
+        if w.requires_grad:  # the rebuilt windows are a temporary, freed before gx's taps are built
+            gw = _im2col(x.data, k, stride).reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
+            gw = gw.reshape(w.shape)
+        if b.requires_grad:
+            gb = g.sum(axis=(0, 1))
         if x.requires_grad:  # not for the waveform or a layer above frozen ones
             gx = _overlap_add((g @ w2.T).reshape(bsz, tp, k, cin), t, stride, x.data.dtype)
-        return gx, gw2.reshape(w.shape), gb
+        return gx, gw, gb
 
     return _make(data, (x, w, b), vjp)
 
@@ -630,11 +642,23 @@ def dropout(x, p, rng):
 # -- backward pass -----------------------------------------------------------
 
 
-def backward(loss):
-    """Populate .grad on every reachable leaf that requires gradients.
+def _backpropagated(g):
+    """The vjp of a node that backward() has consumed."""
+    raise ContractError(
+        "this graph was already backpropagated: backward() frees the graph it walks, "
+        "so sum the losses and call backward() once"
+    )
 
-    loss must be a scalar built from recorded operations. Repeated calls
-    accumulate into .grad until the buffers are zeroed.
+
+def backward(loss):
+    """Populate .grad on every reachable leaf that requires gradients, consuming the graph.
+
+    loss must be a scalar built from recorded operations. Each node's vjp
+    runs once, after which the node drops its vjp (and the buffers that
+    closure saved) and its parents, so memory falls as the walk goes down
+    the graph. Backpropagating through a consumed node raises ContractError
+    before any .grad changes. Leaf .grad buffers accumulate across
+    separately built graphs until they are zeroed.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
@@ -653,25 +677,32 @@ def backward(loss):
             continue
         if id(node) in visited or not node.requires_grad:
             continue
+        if node._vjp is _backpropagated:  # raise before any gradient flows
+            _backpropagated(None)
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
 
+    # once popped, a node is held only by these locals (and any caller), so it
+    # and the buffers its vjp saved are freed when the next iteration rebinds them
     flow = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flow.pop(id(node), None)
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            if g is not None:  # leaf: accumulate into the persistent buffer
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        node._vjp, node._parents = _backpropagated, ()
         if g is None:
             continue
-        if node._vjp is None:
-            # leaf: accumulate into the persistent buffer
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             if pg.shape != parent.data.shape or pg.dtype != parent.data.dtype:
-                op = node._vjp.__qualname__.rsplit(".<locals>.", 1)[0]
+                op = vjp.__qualname__.rsplit(".<locals>.", 1)[0]
                 raise ContractError(
                     f"{op} backward gave a {pg.dtype} gradient of shape {pg.shape} "
                     f"for a {parent.data.dtype} input of shape {parent.data.shape}"

@@ -67,6 +67,31 @@ def test_frozen_layers_get_no_gradient(rng):
             assert w.requires_grad and w.grad is not None and np.any(w.grad != 0.0)
 
 
+def test_frozen_layers_rebuild_no_windows_and_keep_trainable_grads(rng, monkeypatch):
+    # a waveform that needs a gradient makes the frozen layers record nodes, so their vjps run
+    x = (rng.normal(size=(2, 1200)) * 0.2).astype(np.float32)
+    runs = {}
+    for frozen in (0, 2):
+        cfg, params = make_frontend(frozen=frozen, dtype=np.float32)
+        wave = T.Tensor(x, requires_grad=True)
+        out = frontend_forward(params, wave, cfg)
+        loss = T.sum_(T.mul(out, out))
+        rebuilt = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda *a: rebuilt.append(a) or im2col(*a))
+        loss.backward()
+        monkeypatch.undo()
+        runs[frozen] = params, wave.grad, len(rebuilt)
+    (full, full_gx, full_rebuilt), (part, part_gx, part_rebuilt) = runs[0], runs[2]
+    assert (full_rebuilt, part_rebuilt) == (7, 5)
+    assert part_gx.tobytes() == full_gx.tobytes()
+    for name, p in part.items():
+        if name.startswith(("frontend.conv0.", "frontend.conv1.", "frontend.ln0.", "frontend.ln1.")):
+            assert not p.requires_grad and p.grad is None, name
+        else:
+            assert p.grad.tobytes() == full[name].grad.tobytes(), name
+
+
 def test_all_layers_trainable_when_unfrozen(rng):
     cfg, params = make_frontend(frozen=0)
     x = rng.normal(size=(1, 800)) * 0.2
