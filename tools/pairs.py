@@ -68,7 +68,7 @@ def run_one(tree, bench, workload, seed, seconds, trace):
     lines = p.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if p.returncode == 0 and lines else None
     setup_samples = None
-    stamp = Path(tree) / "perfbench" / ".out" / f"{workload}-seed{seed}-trace{trace}.json"
+    stamp = tree / "perfbench" / ".out" / f"{workload}-seed{seed}-trace{trace}.json"
     if result is not None and not trace and stamp.is_file():
         setup_samples = json.loads(stamp.read_text())["figures"].get("setup_samples_s")
     return {"workload": workload, "seed": seed, "trace": trace, "command": " ".join(cmd),
