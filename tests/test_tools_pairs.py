@@ -34,3 +34,37 @@ def test_gain_needs_nine_tenths_of_wins_and_a_median_gap_past_the_parent_iqr():
 )
 def test_verdict_against_bound(parent, change, verdict):
     assert pairs.compare(parent, change, "lower", 0.25)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("workloads", [["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]])
+def test_each_workloads_pairs_alternate_which_side_runs_first(workloads):
+    plan = pairs.build_plan(workloads, [7, 8, 9, 10], traced_seed=3)
+    for w in workloads:
+        firsts = [order[0] for wl, _, trace, order in plan if wl == w and not trace]
+        assert firsts == ["parent", "change", "parent", "change"] or firsts == ["change", "parent", "change", "parent"]
+    untraced = [order[0] for _, _, trace, order in plan if not trace]
+    assert untraced.count("parent") == untraced.count("change")
+    assert [(wl, s, order) for wl, s, trace, order in plan if trace] == [(w, 3, pairs.SIDES) for w in workloads]
+
+
+def _run(side, seed, value, failed=0, returncode=0):
+    result = {"attempted": 4, "failed": failed, "metrics": {"m": {"value": value}}} if returncode == 0 else None
+    return {"side": side, "workload": "w", "seed": seed, "trace": 0, "result": result}
+
+
+def test_a_change_that_fails_more_meets_no_gain_rule():
+    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "lower", "bound": 0.2}]}
+    runs = [_run(s, seed, 100.0 + seed if s == "parent" else 80.0 + seed) for seed in range(10) for s in pairs.SIDES]
+    assert pairs.summarize(runs, bench)["w"]["m"]["meets_gain_rule"]
+    for extra in (_run("change", 10, 0.0, returncode=1), _run("change", 10, 80.0, failed=1)):
+        res = pairs.summarize(runs + [_run("parent", 10, 110.0), extra], bench)["w"]
+        assert res["m"]["change_better"] == 10 and not res["m"]["meets_gain_rule"]
+
+
+def test_export_extracts_the_committed_tree(tmp_path):
+    try:
+        head = pairs.git("rev-parse", "--short", "HEAD").decode().strip()
+    except (OSError, pairs.subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    assert pairs.export("HEAD", tmp_path / "tree") == head
+    assert (tmp_path / "tree" / "tools" / "pairs.py").is_file()

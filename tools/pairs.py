@@ -1,14 +1,15 @@
 """Run paired parent/change benchmark runs of two git revisions into one BENCH JSON.
 
     python tools/pairs.py PARENT CHANGE --seeds 190-199 --out BENCH_name.json \\
-        [--seconds S] [--traced-seed 3] [--what TEXT] [--work DIR]
+        [--traced-seed 3] [--what TEXT] [--work DIR]
 
 Exports each revision with `git archive` into a fresh directory under --work
 (default: the system temp directory; it must lie outside the repository) and
 runs the benchmark there, one run at a time. For every seed it runs the
-workloads in turn; each (workload, seed) pair runs both sides back to back,
-and the side that goes first alternates pair by pair. With --traced-seed it
-then runs one traced pair per workload, parent first.
+workloads in turn; each (workload, seed) pair runs both sides back to back.
+The side that goes first alternates from seed to seed within each workload,
+and from workload to workload within each seed. With --traced-seed it then
+runs one traced pair per workload, parent first.
 
 The command, the workloads, the run length and each end-to-end metric's
 direction and bound come from BENCHMARK.json in the change's tree. The
@@ -54,12 +55,23 @@ def export(rev, dest):
     commit = git("rev-parse", "--short", f"{rev}^{{commit}}").decode().strip()
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return commit
 
 
-def run_one(tree, bench, workload, seed, seconds, trace):
+def build_plan(workloads, seeds, traced_seed=None):
+    """[(workload, seed, trace, sides in run order)]: per seed every workload, first side alternating."""
+    plan = [(w, seed, 0, SIDES if (i + j) % 2 == 0 else SIDES[::-1])
+            for i, seed in enumerate(seeds) for j, w in enumerate(workloads)]
+    if traced_seed is not None:
+        plan += [(w, traced_seed, 1, SIDES) for w in workloads]
+    return plan
+
+
+def run_one(tree, bench, workload, seed, trace):
     """One benchmark run in tree; returns its record, result line and set-up samples included."""
+    seconds = bench["run_seconds"]
     args = ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     cmd = [*bench["command"], *args]
     t0 = time.perf_counter()
@@ -112,7 +124,10 @@ def compare(parent, change, better, bound):
 
 
 def summarize(runs, bench):
-    """Per workload: failed runs and operations per side, and compare() for each end-to-end metric."""
+    """Per workload: failed runs and operations per side, and compare() for each end-to-end metric.
+
+    No metric meets the gain rule where the change failed more runs or more operations than the parent.
+    """
     out = {}
     for w in (wl["name"] for wl in bench["workloads"]):
         by_seed = {}
@@ -123,11 +138,14 @@ def summarize(runs, bench):
         res = {"failed_runs": {s: sum(failed(d[s]) for d in pairs) for s in SIDES},
                "operations": {s: {k: sum(d[s]["result"][k] for d in pairs if d[s]["result"])
                                   for k in ("attempted", "failed")} for s in SIDES}}
+        fails_more = (res["failed_runs"]["change"] > res["failed_runs"]["parent"]
+                      or res["operations"]["change"]["failed"] > res["operations"]["parent"]["failed"])
         good = [d for d in pairs if not (failed(d["parent"]) or failed(d["change"]))]
         if good:
             for m in bench["end_to_end"]:
                 parent, change = ([d[s]["result"]["metrics"][m["name"]]["value"] for d in good] for s in SIDES)
                 res[m["name"]] = compare(parent, change, m["better"], m["bound"])
+                res[m["name"]]["meets_gain_rule"] &= not fails_more
         out[w] = res
     return out
 
@@ -156,7 +174,6 @@ def main(argv=None):
     ap.add_argument("change", help="git revision of the change")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 190-199 or 1,2,5")
     ap.add_argument("--out", required=True, type=Path, help="the BENCH JSON to write")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--traced-seed", type=int, help="also run one traced pair per workload on this seed")
     ap.add_argument("--what", default="", help="what the change does, stored in the output")
     ap.add_argument("--work", type=Path, default=Path(tempfile.gettempdir()), help="where the trees are exported")
@@ -169,19 +186,12 @@ def main(argv=None):
         trees = {s: Path(tmp) / s for s in SIDES}
         commits = {s: export(rev, trees[s]) for s, rev in zip(SIDES, (args.parent, args.change))}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or bench["run_seconds"]
-        workloads = [w["name"] for w in bench["workloads"]]
-        plan = []  # (workload, seed, trace, sides in run order)
-        for seed in args.seeds:
-            for w in workloads:
-                plan.append((w, seed, 0, SIDES if len(plan) % 2 == 0 else SIDES[::-1]))
-        if args.traced_seed is not None:
-            plan += [(w, args.traced_seed, 1, SIDES) for w in workloads]
+        plan = build_plan([w["name"] for w in bench["workloads"]], args.seeds, args.traced_seed)
 
         runs = []
         for w, seed, trace, order in plan:
             for side in order:
-                run = run_one(trees[side], bench, w, seed, seconds, trace)
+                run = run_one(trees[side], bench, w, seed, trace)
                 runs.append({"side": side, "first": order[0], **run})
                 print(f"{w} seed {seed} trace {trace} {side}: returncode {run['returncode']}, "
                       f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
@@ -192,9 +202,10 @@ def main(argv=None):
                     "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}",
                     "tool": "python tools/pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
                     "order": "one run at a time; per seed the workloads in turn, each pair running both sides "
-                             "back to back with the side that runs first alternating pair by pair; then one "
-                             "traced pair per workload, parent first, if asked for",
-                    "seconds": seconds,
+                             "back to back, the side that runs first alternating from seed to seed within each "
+                             "workload and from workload to workload within each seed; then one traced pair "
+                             "per workload, parent first, if asked for",
+                    "seconds": bench["run_seconds"],
                     "seeds": args.seeds,
                     "summary": summarize(runs, bench),
                     "traced_summary": traced_summary(runs),
