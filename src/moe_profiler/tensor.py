@@ -1,12 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A small numpy-backed tape: every operation records its input tensors and a
-backward closure, and ``backward()`` on a scalar walks the recorded graph in
-reverse topological order. It consumes the graph as it walks it: once a
-node's backward closure has run, the node drops it and its inputs, so each
-layer's saved buffers are freed before the layers below are differentiated.
-A graph can therefore be backpropagated once; to train on several losses,
-sum them first, as ``uncertainty_loss`` does. Leaf gradients accumulate into
+A small numpy-backed tape. A recorded op returns a ``Tensor`` that carries
+its ``data`` and a tape node; the node holds its inputs' nodes (never their
+tensors), its backward closure and the output's shape and dtype, and each
+closure keeps only the arrays it reads (for ``add``, just shapes). A leaf
+that requires gradients is its own node. So once a caller drops an
+intermediate tensor, its data is freed unless a vjp reads it, while its node
+stays on the tape. ``backward()`` on a scalar walks the nodes in reverse
+topological order and consumes them as it goes: once a node's backward
+closure has run, the node drops it and its inputs, so each layer's saved
+buffers are freed before the layers below are differentiated. A graph can
+therefore be backpropagated once; to train on several losses, sum them
+first, as ``uncertainty_loss`` does. Leaf gradients accumulate into
 ``.grad`` across separately built graphs until they are zeroed. Inside
 ``no_grad()`` no tape is recorded, so a forward-only pass frees each
 intermediate array as soon as the next op has used it.
@@ -72,9 +77,9 @@ _HEAP_KEPT = _keep_freed_heap()
 
 
 class Tensor:
-    """A dense float array plus an optional same-shape gradient buffer."""
+    """A dense float array, an optional same-shape gradient buffer and, if recorded, its tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -83,8 +88,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._node = None
 
     @property
     def shape(self):
@@ -108,6 +112,30 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """A recorded op on the tape: its inputs' nodes, its vjp, and its output's shape and dtype.
+
+    parents holds one entry per op input: the input's node, the input
+    tensor itself for a leaf that requires gradients, or None for a
+    constant. The node holds no array; the vjp's closure holds what it reads.
+    """
+
+    __slots__ = ("parents", "vjp", "shape", "dtype")
+
+    def __init__(self, parents, vjp, shape, dtype):
+        self.parents = parents
+        self.vjp = vjp
+        self.shape = shape
+        self.dtype = dtype
+
+
+def _node_of(t):
+    """t's tape node: its recorded node, t itself for a leaf that requires gradients, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x
@@ -124,8 +152,8 @@ _recording = ContextVar("moe_profiler_recording", default=True)
 def no_grad():
     """Record no tape inside the block; forward values are unchanged.
 
-    Ops return tensors with no parents and no vjp, so nothing built inside
-    can be backpropagated. Recording resumes when the block exits, also
+    Ops return tensors with no tape node, so nothing built inside can be
+    backpropagated. Recording resumes when the block exits, also
     when it raises.
     """
     token = _recording.set(False)
@@ -141,11 +169,11 @@ def _will_record(parents):
 
 
 def _make(data, parents, vjp):
+    """The op's output tensor; if recording, with a node on its parents' nodes (not the tensors)."""
     out = Tensor(data)
     if _will_record(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(tuple(_node_of(p) for p in parents), vjp, out.data.shape, out.data.dtype)
     return out
 
 
@@ -169,9 +197,10 @@ def add(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
+        return _sum_to_shape(g, sa), _sum_to_shape(g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -180,9 +209,10 @@ def sub(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     data = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)
+        return _sum_to_shape(g, sa), _sum_to_shape(-g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -190,10 +220,11 @@ def sub(a, b):
 def mul(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
     def vjp(g):
-        return _sum_to_shape(g * b.data, a.shape), _sum_to_shape(g * a.data, b.shape)
+        return _sum_to_shape(g * bd, ad.shape), _sum_to_shape(g * ad, bd.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -219,23 +250,28 @@ def exp(x):
 
 def log(x):
     x = _as_tensor(x)
-    data = np.log(x.data)
+    xd = x.data
+    data = np.log(xd)
 
     def vjp(g):
-        return (g / x.data,)
+        return (g / xd,)
 
     return _make(data, (x,), vjp)
 
 
 def sqrt(x):
-    """Elementwise square root; the derivative is taken as 0 at x == 0."""
+    """Elementwise square root; the derivative is taken as 0 at x == 0.
+
+    The vjp tests sqrt(x) > 0, which holds exactly where x > 0 (NaN and
+    negative x give NaN), so it keeps only the output.
+    """
     x = _as_tensor(x)
     data = np.sqrt(x.data)
 
     def vjp(g):
         denom = 2.0 * data
         safe = np.where(denom == 0.0, 1.0, denom)
-        return (np.where(x.data > 0.0, g / safe, 0.0),)
+        return (np.where(data > 0.0, g / safe, 0.0),)
 
     return _make(data, (x,), vjp)
 
@@ -243,9 +279,10 @@ def sqrt(x):
 def relu(x):
     x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
+    positive = x.data > 0.0 if _will_record((x,)) else None
 
     def vjp(g):
-        return (g * (x.data > 0.0),)
+        return (g * positive,)
 
     return _make(data, (x,), vjp)
 
@@ -330,6 +367,7 @@ def gelu(x):
     phi. Without a tape Phi is computed into the output and not kept.
     """
     x = _as_tensor(x)
+    shape = x.shape
     xf = np.ascontiguousarray(x.data).reshape(-1)
     n = xf.size
     data = np.empty_like(xf)
@@ -351,18 +389,18 @@ def gelu(x):
             out *= xf[s]
             out += cdf[s]
             out *= gf[s]
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(shape),)
 
-    return _make(data.reshape(x.shape), (x,), vjp)
+    return _make(data.reshape(shape), (x,), vjp)
 
 
 def clip(x, lo, hi):
     """Clamp values to [lo, hi]; gradient passes only strictly inside."""
     x = _as_tensor(x)
     data = np.clip(x.data, lo, hi)
+    inside = (x.data > lo) & (x.data < hi) if _will_record((x,)) else None
 
     def vjp(g):
-        inside = (x.data > lo) & (x.data < hi)
         return (g * inside,)
 
     return _make(data, (x,), vjp)
@@ -382,13 +420,14 @@ def sum_(x, axis=None, keepdims=False, weights=None):
     if weights is not None:
         weights = np.asarray(weights, dtype=x.data.dtype)
     data = (x.data if weights is None else x.data * weights).sum(axis=axis, keepdims=keepdims)
+    shape, dtype = x.shape, x.data.dtype
 
     def vjp(g):
         if axis is None:
-            gx = np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=True)
+            gx = np.broadcast_to(g, shape).astype(dtype, copy=True)
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(gg, x.shape).copy()
+            gx = np.broadcast_to(gg, shape).copy()
         if weights is not None:
             gx *= weights
         return (gx,)
@@ -408,9 +447,10 @@ def mean_(x, axis=None, keepdims=False):
 def reshape(x, shape):
     x = _as_tensor(x)
     data = x.data.reshape(shape)
+    x_shape = x.shape
 
     def vjp(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _make(data, (x,), vjp)
 
@@ -454,12 +494,13 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs matrices, got shapes {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    data = ad @ bd
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+        ga = g @ np.swapaxes(bd, -1, -2)
+        gb = np.swapaxes(ad, -1, -2) @ g
+        return _sum_to_shape(ga, ad.shape), _sum_to_shape(gb, bd.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -532,23 +573,25 @@ def layer_norm(x, gain, bias):
         np.multiply(xh, gain.data, out=data[s])
         data[s] += bias.data
 
+    shape, gd = x.shape, gain.data  # the vjp reads xhat and inv, not x
+
     def vjp(g):
-        dgain = _sum_to_shape(g * xhat.reshape(x.shape), gain.shape)
-        dbias = _sum_to_shape(g, bias.shape)
-        gs = g.reshape(xs.shape)
+        dgain = _sum_to_shape(g * xhat.reshape(shape), (d,))
+        dbias = _sum_to_shape(g, (d,))
+        gs = g.reshape(xhat.shape)
         dx = np.empty_like(xhat)
         work = np.empty_like(xhat[:per])
         for s in _blocks(n, per):
             dxh, sq = dx[s], work[: s.stop - s.start]
-            np.multiply(gs[s], gain.data, out=dxh)
+            np.multiply(gs[s], gd, out=dxh)
             m1 = dxh @ avg
             m2 = np.multiply(dxh, xhat[s], out=sq) @ avg
             dxh -= m1
             dxh -= np.multiply(xhat[s], m2, out=sq)
             dxh *= inv[s]
-        return dx.reshape(x.shape), dgain, dbias
+        return dx.reshape(shape), dgain, dbias
 
-    return _make(data.reshape(x.shape), (x, gain, bias), vjp)
+    return _make(data.reshape(shape), (x, gain, bias), vjp)
 
 
 def _overlap_add(gcol, t, stride, dtype):
@@ -606,19 +649,21 @@ def conv1d(x, w, b, stride):
         raise ShapeError(f"conv1d input of {t} samples is shorter than kernel {k}")
     stride = int(stride)
     tp = (t - k) // stride + 1
+    xd = x.data
     w2 = w.data.reshape(k * cin, cout)
-    data = _im2col(x.data, k, stride) @ w2
+    data = _im2col(xd, k, stride) @ w2
     data += b.data
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def vjp(g):
         gx = gw = gb = None
-        if w.requires_grad:  # the rebuilt windows are a temporary, freed before gx's taps are built
-            gw = _im2col(x.data, k, stride).reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
-            gw = gw.reshape(w.shape)
-        if b.requires_grad:
+        if need_w:  # the rebuilt windows are a temporary, freed before gx's taps are built
+            gw = _im2col(xd, k, stride).reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
+            gw = gw.reshape(k, cin, cout)
+        if need_b:
             gb = g.sum(axis=(0, 1))
-        if x.requires_grad:  # not for the waveform or a layer above frozen ones
-            gx = _overlap_add((g @ w2.T).reshape(bsz, tp, k, cin), t, stride, x.data.dtype)
+        if need_x:  # not for the waveform or a layer above frozen ones
+            gx = _overlap_add((g @ w2.T).reshape(bsz, tp, k, cin), t, stride, xd.dtype)
         return gx, gw, gb
 
     return _make(data, (x, w, b), vjp)
@@ -653,59 +698,63 @@ def _backpropagated(g):
 def backward(loss):
     """Populate .grad on every reachable leaf that requires gradients, consuming the graph.
 
-    loss must be a scalar built from recorded operations. Each node's vjp
-    runs once, after which the node drops its vjp (and the buffers that
-    closure saved) and its parents, so memory falls as the walk goes down
-    the graph. Backpropagating through a consumed node raises ContractError
-    before any .grad changes. Leaf .grad buffers accumulate across
-    separately built graphs until they are zeroed.
+    loss must be a scalar built from recorded operations. The walk goes over
+    tape nodes, not tensors: a node holds its inputs' nodes, its vjp and its
+    output's shape and dtype, so the data of any tensor the caller dropped
+    is already gone unless a vjp reads it. Each node's vjp runs once, after
+    which the node drops its vjp (and the buffers that closure saved) and
+    its parents, so memory falls as the walk goes down the graph.
+    Backpropagating through a consumed node raises ContractError before any
+    .grad changes. A leaf tensor is its own node; its .grad buffer
+    accumulates across separately built graphs until it is zeroed.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = _node_of(loss)
+    if root is None:
         return
 
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited or not node.requires_grad:
+        if node is None or id(node) in visited:
             continue
-        if node._vjp is _backpropagated:  # raise before any gradient flows
-            _backpropagated(None)
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        if isinstance(node, _Node):
+            if node.vjp is _backpropagated:  # raise before any gradient flows
+                _backpropagated(None)
+            stack.extend((p, False) for p in node.parents)
 
-    # once popped, a node is held only by these locals (and any caller), so it
-    # and the buffers its vjp saved are freed when the next iteration rebinds them
-    flow = {id(loss): np.ones_like(loss.data)}
+    # once popped, a node is held only by these locals, so it and the buffers
+    # its vjp saved are freed when the next iteration rebinds them
+    flow = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
         g = flow.pop(id(node), None)
-        vjp, parents = node._vjp, node._parents
-        if vjp is None:
+        if isinstance(node, Tensor):
             if g is not None:  # leaf: accumulate into the persistent buffer
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        node._vjp, node._parents = _backpropagated, ()
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = _backpropagated, ()
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
-            if pg.shape != parent.data.shape or pg.dtype != parent.data.dtype:
+            if pg.shape != parent.shape or pg.dtype != parent.dtype:
                 op = vjp.__qualname__.rsplit(".<locals>.", 1)[0]
                 raise ContractError(
                     f"{op} backward gave a {pg.dtype} gradient of shape {pg.shape} "
-                    f"for a {parent.data.dtype} input of shape {parent.data.shape}"
+                    f"for a {parent.dtype} input of shape {parent.shape}"
                 )
             key = id(parent)
             flow[key] = pg if key not in flow else flow[key] + pg

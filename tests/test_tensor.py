@@ -1,6 +1,7 @@
 import resource
 import threading
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -243,7 +244,7 @@ class TestNoGrad:
             plain = self._graph(p, w)
             hidden = T.matmul(p, w)
         for out in (plain, hidden):
-            assert out._parents == () and out._vjp is None and not out.requires_grad
+            assert out._node is None and not out.requires_grad
         assert plain.data.tobytes() == recorded.data.tobytes()
         plain.backward()  # nothing recorded: a no-op
         assert p.grad is None and w.grad is None
@@ -255,7 +256,7 @@ class TestNoGrad:
                 pass
             assert not T.exp(p).requires_grad  # an inner block restores the outer one's state
         out = T.exp(p)
-        assert out.requires_grad and out._parents == (p,)
+        assert out.requires_grad and out._node.parents == (p,)
 
     def test_block_covers_only_its_own_thread(self, rng):
         p = t64(rng.normal(size=3))
@@ -274,6 +275,68 @@ class TestNoGrad:
                 T.matmul(p, p)
         T.sum_(T.exp(p)).backward()
         assert np.allclose(p.grad, np.exp(p.data))
+
+
+class TestTapeHoldsWhatVjpsRead:
+    """A recorded graph keeps the arrays its vjps read, and no others."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_clip_sqrt_grads_bitwise_the_input_formulas_at_edge_values(self, dtype):
+        # the vjps keep a mask (relu, clip) or the output (sqrt) instead of
+        # the input; the formulas below read the input, as the vjps once did
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, 2.0, -2.0, 0.25, 0.5, 0.75], dtype=dtype)
+        g = np.linspace(-3.0, 3.0, x.size).astype(dtype)
+
+        def grad(op):
+            xt = Tensor(x.copy(), requires_grad=True)
+            T.sum_(T.mul(op(xt), Tensor(g))).backward()
+            return xt.grad
+
+        with np.errstate(invalid="ignore"):
+            got_sqrt = grad(T.sqrt)
+            denom = 2.0 * np.sqrt(x)
+            want_sqrt = np.where(x > 0.0, g / np.where(denom == 0.0, 1.0, denom), 0.0)
+        assert same_bytes(got_sqrt, want_sqrt)
+        assert same_bytes(grad(T.relu), g * (x > 0.0))
+        assert same_bytes(grad(lambda t: T.clip(t, 0.25, 0.75)), g * ((x > 0.25) & (x < 0.75)))
+
+    # (input shapes, the op whose output the caller drops, the op that consumes it)
+    DROP_CASES = {
+        "conv1d_under_layer_norm": (
+            [(2, 40, 3), (3, 3, 4), (4,), (4,), (4,)],
+            lambda x, w, b, gain, bias: T.conv1d(x, w, b, 2),
+            lambda y, x, w, b, gain, bias: T.layer_norm(y, gain, bias),
+        ),
+        "scores_matmul_under_softmax_rows": (
+            [(2, 2, 5, 4), (2, 2, 5, 4)],
+            lambda q, k: T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+            lambda s, q, k: T.softmax_rows(s, 0.5, np.array([0.0, 0.0, 0.0, 0.0, -np.inf], dtype=np.float32)),
+        ),
+        "matmul_under_bias_add": (
+            [(3, 6, 4), (4, 5), (5,)],
+            lambda x, w, b: T.matmul(x, w),
+            lambda y, x, w, b: T.add(y, b),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DROP_CASES))
+    def test_dropped_tensor_frees_its_data_and_leaves_grads_bitwise(self, case, rng):
+        shapes, inner, outer = self.DROP_CASES[case]
+        arrays = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        grads = {}
+        for keep in (True, False):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y = inner(*leaves)
+            data = weakref.ref(y.data)
+            out = outer(y, *leaves)
+            if not keep:
+                del y  # the graph stays recorded, through out
+                assert data() is None
+            T.sum_(T.mul(out, out)).backward()
+            grads[keep] = [leaf.grad for leaf in leaves]
+        for kept, dropped in zip(grads[True], grads[False]):
+            assert same_bytes(kept, dropped)
 
 
 def exact_gelu(x):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moe_profiler import evaluation, pipeline, training
+from moe_profiler import tensor as T
 from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
@@ -156,6 +157,41 @@ def test_padding_content_does_not_reach_training_gradients(corpus16, kind, rng):
     padded, noised = gradients(batch), gradients(noisy)
     for name, grad in padded.items():
         assert grad is not None and grad.tobytes() == noised[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["conv", "fbank"])
+def test_keeping_every_intermediate_tensor_leaves_training_gradients_bitwise(corpus16, kind, monkeypatch):
+    # the tape holds what its vjps read, not the tensors the caller made: a
+    # batch (mixup on conv, dropout 0.1) through a fresh net each time gives
+    # the same gradients whether every op's output tensor is kept or dropped
+    records = scan_corpus(corpus16)[:8]
+    norm = NormStats.fit(records)
+    cfg = tiny_config(feature_kind=kind, dropout_p=0.1)
+    batch = [record_sample(SpeakerProfiler(cfg), r, read_audio(r.utterance_path)) for r in records]
+    if kind == "conv":
+        mix = np.random.default_rng(3)
+        perm, lams = mix.permutation(len(batch)), mix.random(len(batch))
+        batch = [mixup(s, batch[j], lam) for s, j, lam in zip(batch, perm, lams)]
+
+    def gradients():
+        net = SpeakerProfiler(cfg)
+        out = batch_forward(net, batch, training=True)
+        labels = ([s.height_cm for s in batch], [s.age_years for s in batch], [s.gender for s in batch])
+        uncertainty_loss(*task_losses(out, *labels, norm), *net.log_vars()).backward()
+        return {name: p.grad for name, p in net.parameters().items()}
+
+    dropped = gradients()
+    kept, make = [], T._make
+
+    def keeping_make(data, parents, vjp):
+        kept.append(make(data, parents, vjp))
+        return kept[-1]
+
+    monkeypatch.setattr(T, "_make", keeping_make)
+    held = gradients()
+    assert len(kept) > 100
+    for name, grad in dropped.items():
+        assert grad is not None and grad.tobytes() == held[name].tobytes(), name
 
 
 def test_val_fraction_sets_val_split_size(corpus16):

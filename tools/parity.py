@@ -6,7 +6,10 @@ Pins BLAS to one thread, synthesizes corpus seed 11 (16 speakers x 2
 utterances) and trains 3 epochs at the README quick-start widths for each
 config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
 bytes, val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
-table CSV and the `predict_records` arrays of the test split.
+table CSV, the `predict_records` arrays of the test split and, as a direct
+check of the autodiff tape, every parameter's `.grad` after one recorded
+training batch of the restored model (the first 16 train records, with
+dropout, and with mixup where the config enables it).
 
 Two checkouts that print the same lines produce bitwise-equal outputs. The
 hashes depend on the BLAS build and the platform, so compare runs on one
@@ -26,12 +29,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from moe_profiler.audio import read_audio  # noqa: E402
 from moe_profiler.checkpoint import load_checkpoint, restore_model  # noqa: E402
 from moe_profiler.cli import main  # noqa: E402
 from moe_profiler.corpus import scan_corpus  # noqa: E402
-from moe_profiler.pipeline import predict_records  # noqa: E402
+from moe_profiler.losses import mixup, task_losses, uncertainty_loss  # noqa: E402
+from moe_profiler.pipeline import batch_forward, predict_records, record_sample  # noqa: E402
 
 QUICK_START = dict(
     lr="1e-3",
@@ -67,10 +74,27 @@ def run_cli(*argv):
         raise SystemExit(f"moe-profiler {argv[0]} exited {code}")
 
 
+def grad_digest(ck, records):
+    """Hash of every parameter's .grad, in name order, after one recorded training batch of records."""
+    net = restore_model(ck)
+    samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in records]
+    if net.cfg.mixup_enabled and net.cfg.feature_kind == "conv":
+        rng = np.random.default_rng(0)
+        perm, lams = rng.permutation(len(samples)), rng.random(len(samples))
+        samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
+    out = batch_forward(net, samples, training=True)
+    labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
+    uncertainty_loss(*task_losses(out, *labels, ck.norm), *net.log_vars()).backward()
+    params = sorted(net.parameters().items())
+    return digest(b"".join(name.encode() + p.grad.tobytes() for name, p in params if p.grad is not None))
+
+
 def parity(work: Path):
     corpus = work / "corpus"
     run_cli("synth", "--out", corpus, "--speakers", 16, "--utts", 2, "--seed", 11)
-    test_records = [r for r in scan_corpus(corpus) if r.split == "test"]
+    records = scan_corpus(corpus)
+    test_records = [r for r in records if r.split == "test"]
+    batch_records = [r for r in records if r.split == "train"][:16]
     for name, extra in CONFIGS.items():
         out = work / name
         cfg = work / f"{name}.cfg"
@@ -89,6 +113,7 @@ def parity(work: Path):
             "eval_test": digest((out / "eval_test.csv").read_bytes()),
             "phones": digest((out / "phones.csv").read_bytes()),
             "predict_records": digest(b"".join(a.tobytes() for a in preds)),
+            "grads": grad_digest(ck, batch_records),
         }
         print(name, " ".join(f"{k}={v}" for k, v in hashes.items()))
 
