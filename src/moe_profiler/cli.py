@@ -87,34 +87,30 @@ def cmd_train(args):
     return 0
 
 
-def cmd_evaluate(args):
+def _run_on_checkpoint(args, split, analyze, default_name):
+    """Run analyze(net, norm, records) on one split of --corpus with the --checkpoint model.
+
+    Prints the result and writes its CSV to --out, by default to
+    default_name beside the checkpoint.
+    """
     from .checkpoint import load_checkpoint, restore_model
 
     ck = load_checkpoint(args.checkpoint)
     net = restore_model(ck)
-    records = scan_corpus(args.corpus)
-    chosen = _records_for_split(records, args.split, ck.cfg)
-    report = evaluation.evaluate(net, ck.norm, chosen)
-    print(report.to_text(), end="")
-    out = Path(args.out) if args.out else Path(args.checkpoint).parent / f"eval_{args.split}.csv"
-    out.write_text(report.to_csv())
+    result = analyze(net, ck.norm, _records_for_split(scan_corpus(args.corpus), split, ck.cfg))
+    print(result.to_text(), end="")
+    out = Path(args.out) if args.out else Path(args.checkpoint).parent / default_name
+    out.write_text(result.to_csv())
     log.info("wrote %s", out)
     return 0
+
+
+def cmd_evaluate(args):
+    return _run_on_checkpoint(args, args.split, evaluation.evaluate, f"eval_{args.split}.csv")
 
 
 def cmd_analyze_phones(args):
-    from .checkpoint import load_checkpoint, restore_model
-
-    ck = load_checkpoint(args.checkpoint)
-    net = restore_model(ck)
-    records = scan_corpus(args.corpus)
-    chosen = _records_for_split(records, "test", ck.cfg)
-    table = evaluation.phoneme_importance(net, ck.norm, chosen)
-    print(table.to_text(), end="")
-    out = Path(args.out) if args.out else Path(args.checkpoint).parent / "phone_importance.csv"
-    out.write_text(table.to_csv())
-    log.info("wrote %s", out)
-    return 0
+    return _run_on_checkpoint(args, "test", evaluation.phoneme_importance, "phone_importance.csv")
 
 
 def cmd_features(args):

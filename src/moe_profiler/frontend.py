@@ -1,13 +1,14 @@
 """Trainable convolutional waveform frontend.
 
 A stack of strided valid 1D convolutions, each followed by layer norm and
-GELU, turning raw 16 kHz samples into a frame sequence. The default layer
-shape (kernels 10,3,3,3,3,2,2 with strides 5,2,2,2,2,2,2) downsamples by a
-factor of 320, i.e. one frame per 20 ms, with a 400-sample receptive field.
-The first num_frozen_layers layers are excluded from gradient updates.
+GELU, turning raw 16 kHz samples into a frame sequence. The layers are
+wav2vec 2.0's feature encoder (CONV_LAYERS), which downsamples by a factor
+of 320, i.e. one frame per 20 ms, with a 400-sample receptive field; every
+layer has the same channel count. The first num_frozen_layers layers are
+excluded from gradient updates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,54 +16,45 @@ from .errors import ConfigError, LengthError
 from . import tensor as T
 from .tensor import Tensor
 
-DEFAULT_KERNELS = (10, 3, 3, 3, 3, 2, 2)
-DEFAULT_STRIDES = (5, 2, 2, 2, 2, 2, 2)
-
-
-@dataclass
-class ConvLayerSpec:
-    channels: int
-    kernel: int
-    stride: int
+# (kernel, stride) of each conv layer, input side first (Baevski et al., 2020)
+CONV_LAYERS = ((10, 5), (3, 2), (3, 2), (3, 2), (3, 2), (2, 2), (2, 2))
 
 
 @dataclass
 class ConvFrontendConfig:
-    layers: list = field(default_factory=list)
+    """Channel count of every CONV_LAYERS layer, and how many of them, input side first, are frozen."""
+
+    channels: int
     num_frozen_layers: int = 0
 
     def __post_init__(self):
-        if self.num_frozen_layers > len(self.layers):
+        if self.num_frozen_layers > len(CONV_LAYERS):
             raise ConfigError(
-                f"num_frozen_layers {self.num_frozen_layers} exceeds layer count {len(self.layers)}"
+                f"num_frozen_layers {self.num_frozen_layers} exceeds layer count {len(CONV_LAYERS)}"
             )
 
     @classmethod
     def default(cls, channels=64, num_frozen_layers=0):
-        layers = [ConvLayerSpec(channels, k, s) for k, s in zip(DEFAULT_KERNELS, DEFAULT_STRIDES)]
-        return cls(layers, num_frozen_layers)
-
-    @property
-    def out_dim(self):
-        return self.layers[-1].channels
+        """The frontend at wav2vec 2.0's shape: 64 channels unless given."""
+        return cls(channels, num_frozen_layers)
 
     def receptive_field(self):
         """Input samples feeding one output frame (also the minimum input length)."""
         r = 1
-        for l in reversed(self.layers):
-            r = (r - 1) * l.stride + l.kernel
+        for kernel, stride in reversed(CONV_LAYERS):
+            r = (r - 1) * stride + kernel
         return r
 
     def out_frames(self, n_samples):
         """Closed-form output frame count; raises below the receptive field."""
         t = n_samples
-        for l in self.layers:
-            if t < l.kernel:
+        for kernel, stride in CONV_LAYERS:
+            if t < kernel:
                 raise LengthError(
                     f"waveform of {n_samples} samples is shorter than the receptive field "
                     f"({self.receptive_field()} samples)"
                 )
-            t = (t - l.kernel) // l.stride + 1
+            t = (t - kernel) // stride + 1
         return t
 
 
@@ -70,15 +62,15 @@ def frontend_param_specs(cfg: ConvFrontendConfig):
     """(name, shape, trainable) of the conv + layer-norm parameters, in init order."""
     specs = []
     cin = 1
-    for i, l in enumerate(cfg.layers):
+    for i, (kernel, _) in enumerate(CONV_LAYERS):
         trainable = i >= cfg.num_frozen_layers
         specs += [
-            (f"frontend.conv{i}.w", (l.kernel, cin, l.channels), trainable),
-            (f"frontend.conv{i}.b", (l.channels,), trainable),
-            (f"frontend.ln{i}.gain", (l.channels,), trainable),
-            (f"frontend.ln{i}.bias", (l.channels,), trainable),
+            (f"frontend.conv{i}.w", (kernel, cin, cfg.channels), trainable),
+            (f"frontend.conv{i}.b", (cfg.channels,), trainable),
+            (f"frontend.ln{i}.gain", (cfg.channels,), trainable),
+            (f"frontend.ln{i}.bias", (cfg.channels,), trainable),
         ]
-        cin = l.channels
+        cin = cfg.channels
     return specs
 
 
@@ -93,8 +85,8 @@ def frontend_forward(params, waveforms, cfg: ConvFrontendConfig):
         raise LengthError(f"expected a (batch, samples) array, got shape {x.shape}")
     cfg.out_frames(x.shape[1])  # validates length up front
     x = T.reshape(x, (x.shape[0], x.shape[1], 1))
-    for i, l in enumerate(cfg.layers):
-        x = T.conv1d(x, params[f"frontend.conv{i}.w"], params[f"frontend.conv{i}.b"], l.stride)
+    for i, (_, stride) in enumerate(CONV_LAYERS):
+        x = T.conv1d(x, params[f"frontend.conv{i}.w"], params[f"frontend.conv{i}.b"], stride)
         x = T.layer_norm(x, params[f"frontend.ln{i}.gain"], params[f"frontend.ln{i}.bias"])
         x = T.gelu(x)
     return x

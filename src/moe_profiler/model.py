@@ -15,7 +15,7 @@ import numpy as np
 from .audio import SAMPLE_RATE
 from .config import TrainConfig
 from .dsp import FEATURE_DIMS, num_frames
-from .errors import ConfigError, LengthError, ShapeError
+from .errors import LengthError, ShapeError
 from .frontend import ConvFrontendConfig, frontend_forward, frontend_param_specs
 from . import tensor as T
 from .tensor import Tensor
@@ -87,19 +87,20 @@ def gate_predict(views, w, b):
     return T.clip(T.sigmoid(z), GATE_EPS, 1.0 - GATE_EPS)
 
 
+def frontend_config(cfg: TrainConfig):
+    """The conv frontend cfg builds, or None when the model takes fbank/mfcc frames."""
+    return ConvFrontendConfig(cfg.conv_channels, cfg.num_frozen_layers) if cfg.feature_kind == "conv" else None
+
+
 def param_specs(cfg: TrainConfig):
     """(name, shape, trainable) of every parameter a config builds, in init order.
 
     Shapes only: a checkpoint is checked against these before any model
     is allocated. Loss log-variances are included.
     """
-    specs = []
-    if cfg.feature_kind == "conv":
-        conv_cfg = ConvFrontendConfig.default(cfg.conv_channels, cfg.num_frozen_layers)
-        specs += frontend_param_specs(conv_cfg)
-        in_dim = conv_cfg.out_dim
-    else:
-        in_dim = FEATURE_DIMS[cfg.feature_kind]
+    conv_cfg = frontend_config(cfg)
+    specs = frontend_param_specs(conv_cfg) if conv_cfg is not None else []
+    in_dim = conv_cfg.channels if conv_cfg is not None else FEATURE_DIMS[cfg.feature_kind]
 
     def linear(name, din, dout):
         specs.extend([(f"{name}.w", (din, dout), True), (f"{name}.b", (dout,), True)])
@@ -163,9 +164,7 @@ class SpeakerProfiler:
     def __init__(self, cfg: TrainConfig, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.conv_cfg = None
-        if cfg.feature_kind == "conv":
-            self.conv_cfg = ConvFrontendConfig.default(cfg.conv_channels, cfg.num_frozen_layers)
+        self.conv_cfg = frontend_config(cfg)
         rng = np.random.default_rng(cfg.seed)
         self.params = init_params(param_specs(cfg), rng, dtype)
         self._droprng = np.random.default_rng(rng.integers(2**63))
@@ -263,12 +262,11 @@ class SpeakerProfiler:
             gender_p=T.reshape(g, (b,)),
         )
 
-    def forward_waveforms(self, waveforms, training=False, frame_mask=None) -> ModelOutput:
-        """Run (B, N) raw waveforms through the conv frontend, then the network."""
-        if self.conv_cfg is None:
-            raise ConfigError(f"feature_kind '{self.cfg.feature_kind}' does not take raw waveforms")
-        feats = frontend_forward(self.params, waveforms, self.conv_cfg)
-        return self.forward_features(feats, training, frame_mask)
+    def forward(self, inputs, training=False, frame_mask=None) -> ModelOutput:
+        """Run a padded batch: (B, N) samples through the conv frontend if any, else (B, T, D) frames."""
+        if self.conv_cfg is not None:
+            inputs = frontend_forward(self.params, inputs, self.conv_cfg)
+        return self.forward_features(inputs, training, frame_mask)
 
     def frames_for_samples(self, n_samples):
         """Frame count the feature pipeline will produce for a given length at SAMPLE_RATE."""

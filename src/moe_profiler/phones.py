@@ -1,7 +1,7 @@
 """TIMIT phone symbols, their classes, .PHN parsing and phone-class masking."""
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -61,9 +61,10 @@ def phone_class_of(symbol: str) -> PhoneClass:
 
 @dataclass
 class PhoneticTranscription:
-    """Sorted, non-overlapping (start_sample, end_sample, symbol) segments."""
+    """Sorted, non-overlapping (start_sample, end_sample, symbol) segments; classes holds each one's PhoneClass."""
 
     segments: list
+    classes: list = field(init=False)
 
     def __post_init__(self):
         for start, end, _ in self.segments:
@@ -72,6 +73,7 @@ class PhoneticTranscription:
         for (s0, e0, _), (s1, _, _) in zip(self.segments, self.segments[1:]):
             if s1 < e0:
                 raise FormatError(f"overlapping segments at sample {s1}")
+        self.classes = [phone_class_of(sym) for _, _, sym in self.segments]
 
     def __len__(self):
         return len(self.segments)
@@ -113,8 +115,8 @@ def mask_phone_class(w: Waveform, t: PhoneticTranscription, cls: PhoneClass) -> 
     """
     n = len(w.samples)
     spans = []
-    for start, end, sym in t.segments:
-        if phone_class_of(sym) is not cls:
+    for (start, end, _), seg_cls in zip(t.segments, t.classes):
+        if seg_cls is not cls:
             continue
         if end > n or start >= n:
             log.warning("segment [%d, %d) exceeds waveform length %d; clipping", start, end, n)

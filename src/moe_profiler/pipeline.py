@@ -21,19 +21,21 @@ def featurize(kind, waveform: Waveform) -> np.ndarray:
 def record_sample(net, record, wave: Waveform) -> LabeledSample:
     """A record's labels with its model input; the one gate where audio reaches the model.
 
-    The input is computed here, once: the raw samples for the conv frontend,
-    else the record's fbank/mfcc frames in the model's dtype, the audio
-    dropped. The sample keeps the audio's length in samples.
+    The audio's length is checked against the model's own frame rule
+    (net.frames_for_samples), and the input is computed here, once: the raw
+    samples for a conv frontend, else the record's fbank/mfcc frames in the
+    model's dtype, the audio dropped. Audio too short for the model raises
+    LengthError naming the file. The sample keeps the audio's length in samples.
     """
     if wave.sample_rate != SAMPLE_RATE:
         raise FormatError(f"{record.utterance_path}: sample rate {wave.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
-    kind = net.cfg.feature_kind
-    inputs = wave.samples
-    if kind != "conv":
-        try:
-            inputs = featurize(kind, wave).astype(net.dtype, copy=False)
-        except LengthError as exc:
-            raise LengthError(f"{record.utterance_path}: {exc}") from exc
+    try:
+        net.frames_for_samples(len(wave))
+        inputs = wave.samples
+        if net.conv_cfg is None:
+            inputs = featurize(net.cfg.feature_kind, wave).astype(net.dtype, copy=False)
+    except LengthError as exc:
+        raise LengthError(f"{record.utterance_path}: {exc}") from exc
     return LabeledSample(
         inputs=inputs,
         height_cm=record.height_cm,
@@ -74,9 +76,7 @@ def batch_forward(net, samples, training=False):
     frame_mask = np.zeros((len(samples), net.frames_for_samples(max(lengths))), dtype=np.float64)
     for row, n in zip(frame_mask, lengths):
         row[: net.frames_for_samples(n)] = 1.0
-    if net.cfg.feature_kind == "conv":
-        return net.forward_waveforms(inputs, training=training, frame_mask=frame_mask)
-    return net.forward_features(inputs, training=training, frame_mask=frame_mask)
+    return net.forward(inputs, training=training, frame_mask=frame_mask)
 
 
 # training batches are cut from pools of this many batches sorted by audio

@@ -118,6 +118,7 @@ class _Node:
     parents holds one entry per op input: the input's node, the input
     tensor itself for a leaf that requires gradients, or None for a
     constant. The node holds no array; the vjp's closure holds what it reads.
+    backward() sets vjp to None once it has run it, marking the node consumed.
     """
 
     __slots__ = ("parents", "vjp", "shape", "dtype")
@@ -279,10 +280,9 @@ def sqrt(x):
 def relu(x):
     x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
-    positive = x.data > 0.0 if _will_record((x,)) else None
 
     def vjp(g):
-        return (g * positive,)
+        return (g * (data > 0.0),)
 
     return _make(data, (x,), vjp)
 
@@ -398,10 +398,9 @@ def clip(x, lo, hi):
     """Clamp values to [lo, hi]; gradient passes only strictly inside."""
     x = _as_tensor(x)
     data = np.clip(x.data, lo, hi)
-    inside = (x.data > lo) & (x.data < hi) if _will_record((x,)) else None
 
     def vjp(g):
-        return (g * inside,)
+        return (g * ((data > lo) & (data < hi)),)
 
     return _make(data, (x,), vjp)
 
@@ -687,14 +686,6 @@ def dropout(x, p, rng):
 # -- backward pass -----------------------------------------------------------
 
 
-def _backpropagated(g):
-    """The vjp of a node that backward() has consumed."""
-    raise ContractError(
-        "this graph was already backpropagated: backward() frees the graph it walks, "
-        "so sum the losses and call backward() once"
-    )
-
-
 def backward(loss):
     """Populate .grad on every reachable leaf that requires gradients, consuming the graph.
 
@@ -729,8 +720,11 @@ def backward(loss):
         visited.add(id(node))
         stack.append((node, True))
         if isinstance(node, _Node):
-            if node.vjp is _backpropagated:  # raise before any gradient flows
-                _backpropagated(None)
+            if node.vjp is None:  # consumed by an earlier backward(); raise before any gradient flows
+                raise ContractError(
+                    "this graph was already backpropagated: backward() frees the graph it walks, "
+                    "so sum the losses and call backward() once"
+                )
             stack.extend((p, False) for p in node.parents)
 
     # once popped, a node is held only by these locals, so it and the buffers
@@ -744,7 +738,7 @@ def backward(loss):
                 node.grad = g if node.grad is None else node.grad + g
             continue
         vjp, parents = node.vjp, node.parents
-        node.vjp, node.parents = _backpropagated, ()
+        node.vjp, node.parents = None, ()
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):

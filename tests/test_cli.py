@@ -325,6 +325,19 @@ class TestEvaluateCmd:
         err = capsys.readouterr().err
         assert str(short) in err and "cmvn needs at least 2 frames" in err
 
+    def test_too_short_conv_audio_exit_2_names_file(self, trained, tmp_path, capsys):
+        corpus, out_dir = trained
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        short = sorted((copy / "TEST").rglob("*.WAV"))[0]
+        write_wav(short, read_audio(short).samples[:300], 16000)
+        capsys.readouterr()
+        for command in ("evaluate", "analyze-phones"):
+            ckpt = out_dir / "checkpoint.bemx"
+            assert run(command, "--checkpoint", ckpt, "--corpus", copy, "--out", tmp_path / "o.csv") == 2, command
+            err = capsys.readouterr().err
+            assert str(short) in err and "receptive field (400 samples)" in err, command
+
     def test_corrupt_checkpoint_config_exit_1(self, trained, tmp_path, capsys):
         corpus, _ = trained
         path = write_corrupt_config_checkpoint(tmp_path / "ck.bemx")
@@ -369,3 +382,15 @@ class TestEvaluateCmd:
         run("analyze-phones", "--checkpoint", out_dir / "checkpoint.bemx", "--corpus", corpus, "--out", a)
         run("analyze-phones", "--checkpoint", out_dir / "checkpoint.bemx", "--corpus", corpus, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,written", [("evaluate", "eval_test.csv"), ("analyze-phones", "phone_importance.csv")]
+    )
+    def test_without_out_writes_beside_the_checkpoint(self, trained, tmp_path, command, written):
+        corpus, out_dir = trained
+        ckpt = tmp_path / "ck" / "checkpoint.bemx"
+        ckpt.parent.mkdir()
+        shutil.copyfile(out_dir / "checkpoint.bemx", ckpt)
+        assert run(command, "--checkpoint", ckpt, "--corpus", corpus) == 0
+        assert run(command, "--checkpoint", ckpt, "--corpus", corpus, "--out", tmp_path / "out.csv") == 0
+        assert (ckpt.parent / written).read_bytes() == (tmp_path / "out.csv").read_bytes()

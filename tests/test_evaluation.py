@@ -220,6 +220,22 @@ def test_segment_past_the_waveform_warns_once(trained16, corpus16_records_module
     assert caplog.text.count("exceeds waveform length") == 1
 
 
+def test_unknown_phone_symbol_warns_once_per_analysis(trained16, corpus16_records_module, tmp_path, caplog):
+    """A segment is classified once, when its transcription is parsed, not once per masked class."""
+    net, result = trained16
+
+    def unknown(k, record, lines):
+        if k == 0:
+            start, end, _ = lines[3].split()
+            lines[3] = f"{start} {end} zz"
+
+    records = copied_test_records(corpus16_records_module, tmp_path, unknown)
+    for calls in (1, 2):
+        with caplog.at_level("WARNING", logger="moe_profiler.phones"):
+            phoneme_importance(net, result.norm, records)
+        assert caplog.text.count("unknown phone symbol 'zz'") == calls
+
+
 class TestPartialPresence:
     def test_only_changed_records_are_re_predicted(self, trained16, affricate_records, monkeypatch, caplog):
         net, result = trained16

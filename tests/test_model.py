@@ -296,7 +296,7 @@ def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720),
         labels = ([172.0], [33.0], [1.0])
 
         def forward():
-            return net.forward_waveforms(Tensor(wav))
+            return net.forward(Tensor(wav))
 
     def build():
         l_h, l_a, l_g = task_losses(forward(), *labels, norm)
@@ -351,7 +351,7 @@ def test_masked_end_to_end_gradients_longer_pair():
 def test_float32_step_keeps_every_gradient_float32(wav_dtype):
     net = SpeakerProfiler(tiny_config(), dtype=np.float32)
     wav = (np.random.default_rng(5).normal(size=(2, 900)) * 0.3).astype(wav_dtype)
-    out = net.forward_waveforms(wav, training=True)
+    out = net.forward(wav, training=True)
     norm = NormStats(40.0, 10.0, 170.0, 8.0)
     l_h, l_a, l_g = task_losses(out, [172.0, 160.0], [33.0, 51.0], [1.0, 0.3], norm)
     loss = uncertainty_loss(l_h, l_a, l_g, *net.log_vars())

@@ -282,8 +282,8 @@ class TestTapeHoldsWhatVjpsRead:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_clip_sqrt_grads_bitwise_the_input_formulas_at_edge_values(self, dtype):
-        # the vjps keep a mask (relu, clip) or the output (sqrt) instead of
-        # the input; the formulas below read the input, as the vjps once did
+        # the vjps read the output (relu, clip, sqrt) instead of the input;
+        # the formulas below read the input, as the vjps once did
         tiny = np.finfo(dtype).smallest_subnormal
         x = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, 2.0, -2.0, 0.25, 0.5, 0.75], dtype=dtype)
         g = np.linspace(-3.0, 3.0, x.size).astype(dtype)

@@ -47,6 +47,17 @@ def test_each_workloads_pairs_alternate_which_side_runs_first(workloads):
     assert [(wl, s, order) for wl, s, trace, order in plan if trace] == [(w, 3, pairs.SIDES) for w in workloads]
 
 
+def test_tool_line_records_the_work_directory_as_dir():
+    argv = ["p1", "c2", "--seeds", "1-2", "--out", "BENCH_x.json", "--work", "/abs/scratch", "--traced-seed", "3"]
+    assert pairs.tool_line(argv) == (
+        "python tools/pairs.py p1 c2 --seeds 1-2 --out BENCH_x.json --work DIR --traced-seed 3"
+    )
+    assert pairs.tool_line(["p1", "c2", "--work=/abs/scratch"]) == "python tools/pairs.py p1 c2 --work=DIR"
+    assert pairs.tool_line(["p1", "c2", "--wor", "/abs/scratch"]) == "python tools/pairs.py p1 c2 --wor DIR"
+    plain = ["p1", "c2", "--seeds", "1,5", "--out", "BENCH_x.json", "--what", "a change"]
+    assert pairs.tool_line(plain) == "python tools/pairs.py " + " ".join(plain)
+
+
 def _run(side, seed, value, failed=0, returncode=0):
     result = {"attempted": 4, "failed": failed, "metrics": {"m": {"value": value}}} if returncode == 0 else None
     return {"side": side, "workload": "w", "seed": seed, "trace": 0, "result": result}

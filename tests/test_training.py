@@ -99,7 +99,7 @@ def test_alignment_masking_excludes_padded_frames_from_pooling(corpus4_records):
     inputs, _ = align_samples(samples, net.dtype)
 
     masked = batch_forward(net, samples)
-    unmasked = net.forward_waveforms(inputs)
+    unmasked = net.forward(inputs)
     assert float(masked.age_z.data[shorter]) != float(unmasked.age_z.data[shorter])
     longest = 1 - shorter
     for field in ("age_z", "height_z", "gender_p"):
@@ -374,6 +374,24 @@ def test_too_short_file_named_before_first_step(corpus16, tmp_path, monkeypatch)
     steps = []
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
     with pytest.raises(LengthError, match="cmvn needs at least 2 frames") as info:
+        train(cfg, scan_corpus(copy))
+    assert str(short) in str(info.value)
+    assert steps == []
+
+
+@pytest.mark.parametrize("mixup_enabled", [False, True])
+def test_too_short_conv_file_named_before_first_step(corpus16, tmp_path, monkeypatch, mixup_enabled):
+    # a waveform under the frontend's 400-sample receptive field fails record
+    # preparation, as a too-short fbank file does; mixup, which pads a short
+    # source to its partner's length, never sees it
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus16, copy)
+    cfg = tiny_config(max_epochs=1, mixup_enabled=mixup_enabled)
+    short = sorted((copy / "TRAIN").rglob("*.WAV"))[-1]
+    write_wav(short, read_audio(short).samples[:300], 16000)
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+    with pytest.raises(LengthError, match="receptive field") as info:
         train(cfg, scan_corpus(copy))
     assert str(short) in str(info.value)
     assert steps == []

@@ -168,6 +168,19 @@ def traced_summary(runs):
     return out
 
 
+def tool_line(argv):
+    """The command line the BENCH file records, the --work directory as DIR: no figure depends on it."""
+    words = list(argv)
+    for i, word in enumerate(words):
+        opt, eq, _ = word.partition("=")
+        if len(opt) > 3 and "--work".startswith(opt):  # argparse takes any unambiguous prefix
+            if eq:
+                words[i] = f"{opt}=DIR"
+            elif i + 1 < len(words):
+                words[i + 1] = "DIR"
+    return "python tools/pairs.py " + " ".join(words)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="git revision of the parent")
@@ -200,7 +213,7 @@ def main(argv=None):
                     "parent": commits["parent"],
                     "change": commits["change"],
                     "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}",
-                    "tool": "python tools/pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
+                    "tool": tool_line(sys.argv[1:] if argv is None else argv),
                     "order": "one run at a time; per seed the workloads in turn, each pair running both sides "
                              "back to back, the side that runs first alternating from seed to seed within each "
                              "workload and from workload to workload within each seed; then one traced pair "
