@@ -63,8 +63,7 @@ def _records_for_split(records, split, cfg):
     if split == "test":
         chosen = [r for r in records if r.split == "test"]
     else:
-        train_all = [r for r in records if r.split == "train"]
-        train, val = split_train_val(train_all, cfg.seed, cfg.val_fraction)
+        train, val = split_train_val(records, cfg.seed, cfg.val_fraction)
         chosen = val if split == "val" else train
     if not chosen:
         raise DataError(f"no records in split '{split}'")

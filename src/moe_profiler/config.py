@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .frontend import CONV_LAYERS
 
 FEATURE_KINDS = ("fbank", "mfcc", "conv")
 MODES = ("bi_encoder", "single_encoder")
@@ -68,6 +69,8 @@ class TrainConfig:
         for key, low in MIN_VALUES.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.num_frozen_layers > len(CONV_LAYERS):
+            raise ConfigError(f"num_frozen_layers must be <= {len(CONV_LAYERS)}, got {self.num_frozen_layers}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_p < 1.0:

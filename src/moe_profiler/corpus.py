@@ -172,8 +172,8 @@ def scan_corpus(root_dir) -> list:
 
 
 def split_train_val(records, seed, fraction) -> tuple:
-    """Move floor(fraction * n) of train records into a validation split, seeded."""
-    records = list(records)
+    """Move floor(fraction * n) of the n 'train' records into a validation split, seeded; drop other splits."""
+    records = [r for r in records if r.split == "train"]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
     n_val = int(len(records) * fraction)

@@ -75,12 +75,7 @@ def phoneme_importance(net, norm, records) -> ImportanceTable:
         for full, got in zip(preds, part):
             full[changed] = got
         masked = build_report(preds, truth)
-        rows[cls] = (
-            pct_change(masked.height_rmse_male, base.height_rmse_male),
-            pct_change(masked.height_rmse_female, base.height_rmse_female),
-            pct_change(masked.age_rmse_male, base.age_rmse_male),
-            pct_change(masked.age_rmse_female, base.age_rmse_female),
-        )
+        rows[cls] = tuple(pct_change(getattr(masked, name), getattr(base, name)) for name in ImportanceTable.FIELDS)
     return ImportanceTable(base=base, rows=rows)
 
 

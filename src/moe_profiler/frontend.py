@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthError
+from .errors import LengthError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -26,12 +26,6 @@ class ConvFrontendConfig:
 
     channels: int
     num_frozen_layers: int = 0
-
-    def __post_init__(self):
-        if self.num_frozen_layers > len(CONV_LAYERS):
-            raise ConfigError(
-                f"num_frozen_layers {self.num_frozen_layers} exceeds layer count {len(CONV_LAYERS)}"
-            )
 
     @classmethod
     def default(cls, channels=64, num_frozen_layers=0):

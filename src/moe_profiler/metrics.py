@@ -150,11 +150,13 @@ def pct_change(masked: float, base: float) -> float:
 class ImportanceTable:
     """Percentage RMSE change per masked phone class, one row per class."""
 
+    # a row's columns, in order: the EvalReport fields whose percentage change it holds
+    FIELDS = ("height_rmse_male", "height_rmse_female", "age_rmse_male", "age_rmse_female")
     base: EvalReport
-    rows: dict  # PhoneClass -> (height_rmse_male, height_rmse_female, age_rmse_male, age_rmse_female)
+    rows: dict  # PhoneClass -> one percentage per FIELDS entry
 
     def to_csv(self) -> str:
-        out = ["mask,height_rmse_male_pct,height_rmse_female_pct,age_rmse_male_pct,age_rmse_female_pct"]
+        out = ["mask," + ",".join(f"{name}_pct" for name in self.FIELDS)]
         for cls in TABLE_ORDER:
             cells = self.rows[cls]
             out.append(cls.value + "," + ",".join(format(c, ".10g") for c in cells))

@@ -408,7 +408,7 @@ def clip(x, lo, hi):
 # -- reductions and shape ops ------------------------------------------------
 
 
-def sum_(x, axis=None, keepdims=False, weights=None):
+def sum_(x, axis=None, weights=None):
     """Sum of x, or of x * weights, over axis.
 
     weights is an optional constant array broadcast onto x (pooling's frame
@@ -418,15 +418,14 @@ def sum_(x, axis=None, keepdims=False, weights=None):
     x = _as_tensor(x)
     if weights is not None:
         weights = np.asarray(weights, dtype=x.data.dtype)
-    data = (x.data if weights is None else x.data * weights).sum(axis=axis, keepdims=keepdims)
+    data = (x.data if weights is None else x.data * weights).sum(axis=axis)
     shape, dtype = x.shape, x.data.dtype
 
     def vjp(g):
         if axis is None:
             gx = np.broadcast_to(g, shape).astype(dtype, copy=True)
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(gg, shape).copy()
+            gx = np.broadcast_to(np.expand_dims(g, axis), shape).copy()
         if weights is not None:
             gx *= weights
         return (gx,)
@@ -434,13 +433,13 @@ def sum_(x, axis=None, keepdims=False, weights=None):
     return _make(data, (x,), vjp)
 
 
-def mean_(x, axis=None, keepdims=False):
+def mean_(x, axis=None):
     x = _as_tensor(x)
     if axis is None:
         n = x.data.size
     else:
         n = x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(x, axis=axis), 1.0 / n)
 
 
 def reshape(x, shape):

@@ -9,7 +9,7 @@ fixed config and seed.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,7 @@ class EpochRow:
     s_gender: float
 
     def to_csv(self):
-        return (
-            f"{self.epoch},{self.split},{self.l_total:.8g},{self.l_height:.8g},"
-            f"{self.l_age:.8g},{self.l_gender:.8g},{self.s_height:.8g},{self.s_age:.8g},{self.s_gender:.8g}"
-        )
+        return f"{self.epoch},{self.split}," + ",".join(format(v, ".8g") for v in astuple(self)[2:])
 
 
 @dataclass
@@ -59,15 +56,20 @@ class TrainResult:
     log_rows: list = field(default_factory=list)
     val_report: object = None
 
-    def log_csv(self):
-        return LOG_HEADER + "\n" + "\n".join(r.to_csv() for r in self.log_rows) + "\n"
-
 
 def _losses_to_row(epoch, split, means, net):
     s_h, s_a, s_g = (float(t.data) for t in net.log_vars())
     lh, la, lg = means
     total = 0.5 * (np.exp(-s_h) * lh + np.exp(-s_a) * la + np.exp(-s_g) * lg) + 0.5 * (s_h + s_a + s_g)
     return EpochRow(epoch, split, float(total), lh, la, lg, s_h, s_a, s_g)
+
+
+def batch_loss(net, norm, samples) -> tuple:
+    """((L_height, L_age, L_gender), their uncertainty_loss total) of a training forward, on the samples' labels."""
+    out = batch_forward(net, samples, training=True)
+    labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
+    losses = task_losses(out, *labels, norm)
+    return losses, uncertainty_loss(*losses, *net.log_vars())
 
 
 def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
@@ -86,11 +88,7 @@ def _run_epoch(net, norm, cfg, data, epoch, opt, mix_rng) -> EpochRow:
             lams = mix_rng.random(len(samples))
             # a mixed item is real up to the longer of its two sources
             samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
-        out = batch_forward(net, samples, training=True)
-        losses = task_losses(
-            out, [s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples], norm
-        )
-        total = uncertainty_loss(*losses, *net.log_vars())
+        losses, total = batch_loss(net, norm, samples)
         if not np.isfinite(total.data):
             raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_i}")
         opt.zero_grad()
@@ -114,13 +112,14 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     """Train on the 'train' split of records; returns the best checkpoint state.
 
     split_train_val takes the validation records out of that split. When out_dir
-    is given, writes checkpoint.bemx, train_log.csv and val_report.csv there.
+    is given, writes checkpoint.bemx, train_log.csv and val_report.csv there;
+    train_log.csv gets each row as the row is made, so a run that fails after
+    every file is prepared keeps the rows of its finished epochs.
     """
-    train_recs, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
+    train_recs, val_recs = split_train_val(records, cfg.seed, cfg.val_fraction)
     if not train_recs:
         raise DataError("no training records")
-    genders = {r.gender for r in train_recs}
-    if genders != {0, 1}:
+    if {r.gender for r in train_recs} != {0, 1}:
         raise DataError("training split must contain both genders")
 
     norm = NormStats.fit(train_recs)
@@ -133,10 +132,21 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     val_data = [record_sample(net, r, read_audio(r.utterance_path)) for r in val_recs]
     val_labels = record_labels(val_recs)
 
-    log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s",
-             len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind)
+    log.info("training: %d train / %d val records, %d parameters, lr=%g, mode=%s, features=%s, mixup=%s",
+             len(train_recs), len(val_recs), net.num_parameters(), cfg.lr, cfg.mode, cfg.feature_kind, use_mixup)
 
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "train_log.csv").write_text(LOG_HEADER + "\n")
     rows = []
+
+    def add_row(row):
+        rows.append(row)
+        if out_dir is not None:
+            with open(out_dir / "train_log.csv", "a") as f:
+                f.write(row.to_csv() + "\n")
+
     best_loss = np.inf
     best_epoch = 0
     best_params = {n: p.data.copy() for n, p in net.parameters().items()}
@@ -144,10 +154,10 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        rows.append(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
+        add_row(_run_epoch(net, norm, cfg, train_data, epoch, opt, mix_rng))
         if val_recs:
             preds = predict_samples(net, norm, val_data)
-            rows.append(_val_row(net, norm, epoch, preds, val_labels))
+            add_row(_val_row(net, norm, epoch, preds, val_labels))
         monitor = rows[-1].l_total
         if not np.isfinite(monitor):
             raise NumericError(f"non-finite {'validation' if val_recs else 'training'} loss at epoch {epoch}")
@@ -169,10 +179,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
         result.val_report = build_report(best_preds, val_labels)
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out_dir / "checkpoint.bemx", cfg, norm, best_params, best_epoch)
-        (out_dir / "train_log.csv").write_text(result.log_csv())
         if result.val_report is not None:
             (out_dir / "val_report.csv").write_text(result.val_report.to_csv())
         log.info("wrote checkpoint and logs under %s", out_dir)

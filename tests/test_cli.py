@@ -225,6 +225,28 @@ class TestTrainCmd:
         assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
         assert not (out_dir / "checkpoint.bemx").exists()
 
+    def test_numeric_abort_keeps_the_log_of_finished_epochs(self, corpus16, tmp_path, monkeypatch):
+        # a non-finite validation loss at epoch 3 exits 3; the log streamed so
+        # far holds epochs 1 and 2 as the uninterrupted run wrote them
+        whole = tmp_path / "whole"
+        assert run("train", "--config", write_config(tmp_path / "whole.cfg", corpus16, whole, val_fraction=0.3)) == 0
+        predict, calls = training.predict_samples, []
+
+        def nan_from_epoch_3(net, norm, samples):
+            calls.append(1)
+            preds = predict(net, norm, samples)
+            return preds if len(calls) < 3 else tuple(np.full_like(p, np.nan) for p in preds)
+
+        monkeypatch.setattr(training, "predict_samples", nan_from_epoch_3)
+        out_dir = tmp_path / "run"
+        assert run("train", "--config", write_config(tmp_path / "cfg.txt", corpus16, out_dir, val_fraction=0.3)) == 3
+        kept = (out_dir / "train_log.csv").read_text().splitlines()
+        want = (whole / "train_log.csv").read_text().splitlines()
+        assert len(want) == 1 + 3 * 2
+        assert kept[:1 + 2 * 2] == want[:1 + 2 * 2]
+        assert kept[-1].startswith("3,val,nan,")
+        assert not (out_dir / "checkpoint.bemx").exists()
+
     def test_override_changes_config(self, corpus4, tmp_path):
         out_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "cfg.txt", corpus4, out_dir, max_epochs=1)
@@ -308,7 +330,7 @@ class TestEvaluateCmd:
         cfg = write_config(tmp_path / "cfg.txt", copy, tmp_path / "run", max_epochs=1)
         assert run("train", "--config", cfg) == 2
         assert str(slow["TRAIN"]) in capsys.readouterr().err
-        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_too_short_audio_exit_2_names_file(self, trained, tmp_path, capsys):
         corpus, _ = trained

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,13 @@ class TestSplit:
         a = split_train_val(fake_records(40), seed=9, fraction=0.15)
         b = split_train_val(fake_records(40), seed=9, fraction=0.15)
         assert [r.utterance_path for r in a[1]] == [r.utterance_path for r in b[1]]
+
+    def test_other_splits_left_out(self):
+        records = fake_records(10)
+        records[3:6] = [dataclasses.replace(r, split="test") for r in records[3:6]]
+        train, val = split_train_val(records, seed=0, fraction=0.15)
+        assert (len(train), len(val)) == (6, 1)
+        assert {r.utterance_path for r in train + val} == {r.utterance_path for r in records[:3] + records[6:]}
 
     def test_different_seeds_differ(self):
         a = split_train_val(fake_records(40), seed=1, fraction=0.15)[1]

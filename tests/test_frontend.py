@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moe_profiler.errors import ConfigError, LengthError
+from moe_profiler.errors import LengthError
 from moe_profiler.frontend import CONV_LAYERS, ConvFrontendConfig, frontend_forward, frontend_param_specs
 from moe_profiler.model import init_params
 from moe_profiler import tensor as T
@@ -101,8 +101,3 @@ def test_all_layers_trainable_when_unfrozen(rng):
     loss.backward()
     for i in range(7):
         assert params[f"frontend.conv{i}.w"].grad is not None
-
-
-def test_frozen_count_validated():
-    with pytest.raises(ConfigError):
-        ConvFrontendConfig.default(4, num_frozen_layers=8)

@@ -16,6 +16,7 @@ from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
 from moe_profiler.pipeline import batch_forward, predict_samples, record_sample
 from moe_profiler.tensor import Tensor
+from moe_profiler.training import batch_loss
 
 from .conftest import tiny_config
 from .helpers import check_op_grads
@@ -711,6 +712,32 @@ def test_backward_adds_no_memory_above_the_forward(corpus16):
     finally:
         tracemalloc.stop()
     assert peak <= 1.01 * start, (start, peak)
+
+
+def test_fbank_backward_adds_at_most_two_attention_score_arrays(corpus16):
+    """On fbank the step's memory peak is in backward(), set by attention's score gradient.
+
+    Each attention matmul and softmax_rows vjp makes about one (B, H, T, T)
+    array before the forward's are freed: on this batch (B=16, H=2, T=84,
+    0.90 MB per score array) 4.27 MB are held at backward start and the
+    peak is 1.74 score arrays above that.
+    """
+    records = scan_corpus(corpus16)
+    cfg = tiny_config(feature_kind="fbank", conv_channels=32)
+    net = SpeakerProfiler(cfg)
+    norm = NormStats.fit(records)
+    batch = [record_sample(net, r, read_audio(r.utterance_path)) for r in records]
+    score_bytes = len(batch) * cfg.num_heads * max(len(s.inputs) for s in batch) ** 2 * 4
+    tracemalloc.start()
+    try:
+        _, total = batch_loss(net, norm, batch)
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        total.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * score_bytes, (start, peak, score_bytes)
 
 
 def _bad_op(x, grad_of):

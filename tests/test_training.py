@@ -7,16 +7,17 @@ import pytest
 from moe_profiler import evaluation, pipeline, training
 from moe_profiler import tensor as T
 from moe_profiler.audio import read_audio, write_wav
+from moe_profiler.config import TrainConfig
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import mixup, task_losses, tile_to, uncertainty_loss
+from moe_profiler.losses import mixup, task_losses, tile_to
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
 from moe_profiler.pipeline import align_samples, batch_forward, featurize, predict_records, record_sample
 from moe_profiler.tensor import Tensor
-from moe_profiler.training import train
+from moe_profiler.training import batch_loss, train
 
 from .conftest import tiny_config
 
@@ -33,7 +34,7 @@ def test_same_seed_identical_logs_and_params(corpus4_records):
     cfg = tiny_config(max_epochs=4)
     a = train(cfg, corpus4_records)
     b = train(cfg, corpus4_records)
-    assert a.log_csv() == b.log_csv()
+    assert a.log_rows == b.log_rows
     for name in a.best_params:
         assert np.array_equal(a.best_params[name], b.best_params[name])
 
@@ -76,6 +77,14 @@ def test_classic_feature_kinds_train(corpus4_records, kind):
     assert result.best_epoch >= 1
     rows = [r for r in result.log_rows if r.split == "train"]
     assert all(np.isfinite(r.l_total) for r in rows)
+
+
+@pytest.mark.parametrize("kind,mixes", [("conv", True), ("fbank", False)])
+def test_training_line_says_whether_the_run_mixes(corpus4_records, kind, mixes, caplog):
+    caplog.set_level("INFO", logger="moe_profiler.training")
+    train(tiny_config(feature_kind=kind, mixup_enabled=True, max_epochs=1), corpus4_records)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("training:")]
+    assert line.endswith(f"mixup={mixes}")
 
 
 def test_val_split_used_when_enough_records(corpus16, caplog):
@@ -149,9 +158,7 @@ def test_padding_content_does_not_reach_training_gradients(corpus16, kind, rng):
 
     def gradients(samples):
         net = SpeakerProfiler(cfg)
-        out = batch_forward(net, samples, training=True)
-        labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
-        uncertainty_loss(*task_losses(out, *labels, norm), *net.log_vars()).backward()
+        batch_loss(net, norm, samples)[1].backward()
         return {name: p.grad for name, p in net.parameters().items()}
 
     padded, noised = gradients(batch), gradients(noisy)
@@ -175,9 +182,7 @@ def test_keeping_every_intermediate_tensor_leaves_training_gradients_bitwise(cor
 
     def gradients():
         net = SpeakerProfiler(cfg)
-        out = batch_forward(net, batch, training=True)
-        labels = ([s.height_cm for s in batch], [s.age_years for s in batch], [s.gender for s in batch])
-        uncertainty_loss(*task_losses(out, *labels, norm), *net.log_vars()).backward()
+        batch_loss(net, norm, batch)[1].backward()
         return {name: p.grad for name, p in net.parameters().items()}
 
     dropped = gradients()
@@ -225,6 +230,14 @@ def test_impossible_run_value_rejected(key, value):
         tiny_config(**{key: value})
 
 
+def test_frozen_count_validated():
+    # the bound holds for every feature kind, so no checkpoint stores a count the frontend cannot have
+    for kind in ("conv", "fbank", "mfcc"):
+        assert tiny_config(feature_kind=kind, num_frozen_layers=7).num_frozen_layers == 7
+        with pytest.raises(ConfigError, match="num_frozen_layers must be <= 7"):
+            TrainConfig(feature_kind=kind, num_frozen_layers=8)
+
+
 def test_smallest_model_shape_runs(corpus4_records):
     cfg = tiny_config(model_dim=2, num_heads=1, ff_dim=1, expert_dim=1, head_hidden=1, num_layers=0, conv_channels=2)
     net = SpeakerProfiler(cfg)
@@ -240,7 +253,7 @@ def _net_from(cfg, params):
 
 
 def _val_records(records, cfg):
-    return split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)[1]
+    return split_train_val(records, cfg.seed, cfg.val_fraction)[1]
 
 
 def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
@@ -351,7 +364,7 @@ def test_fbank_featurizes_each_record_once_per_run(corpus16, epochs, monkeypatch
     monkeypatch.setattr(pipeline, "featurize", counted)
     result = train(cfg, records)
     assert len(result.log_rows) == 2 * epochs
-    train_recs, val_recs = split_train_val([r for r in records if r.split == "train"], cfg.seed, cfg.val_fraction)
+    train_recs, val_recs = split_train_val(records, cfg.seed, cfg.val_fraction)
     assert val_recs
     assert sorted(featurized) == sorted(len(read_audio(r.utterance_path)) for r in train_recs + val_recs)
 

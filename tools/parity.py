@@ -37,8 +37,9 @@ from moe_profiler.audio import read_audio  # noqa: E402
 from moe_profiler.checkpoint import load_checkpoint, restore_model  # noqa: E402
 from moe_profiler.cli import main  # noqa: E402
 from moe_profiler.corpus import scan_corpus  # noqa: E402
-from moe_profiler.losses import mixup, task_losses, uncertainty_loss  # noqa: E402
-from moe_profiler.pipeline import batch_forward, predict_records, record_sample  # noqa: E402
+from moe_profiler.losses import mixup  # noqa: E402
+from moe_profiler.pipeline import predict_records, record_sample  # noqa: E402
+from moe_profiler.training import batch_loss  # noqa: E402
 
 QUICK_START = dict(
     lr="1e-3",
@@ -82,9 +83,8 @@ def grad_digest(ck, records):
         rng = np.random.default_rng(0)
         perm, lams = rng.permutation(len(samples)), rng.random(len(samples))
         samples = [mixup(s, samples[j], lam) for s, j, lam in zip(samples, perm, lams)]
-    out = batch_forward(net, samples, training=True)
-    labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
-    uncertainty_loss(*task_losses(out, *labels, ck.norm), *net.log_vars()).backward()
+    _, total = batch_loss(net, ck.norm, samples)
+    total.backward()
     params = sorted(net.parameters().items())
     return digest(b"".join(name.encode() + p.grad.tobytes() for name, p in params if p.grad is not None))
 
