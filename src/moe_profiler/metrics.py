@@ -9,22 +9,23 @@ from .errors import ContractError, DataError
 from .phones import TABLE_ORDER
 
 
-def rmse(preds, targets) -> float:
-    """Root mean squared error in natural units."""
+def _errors(preds, targets, metric) -> np.ndarray:
+    """preds - targets in float64; metric names the caller in the error for unequal or empty arrays."""
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.size == 0 or preds.shape != targets.shape:
-        raise ContractError(f"rmse needs equal non-empty arrays, got {preds.shape} vs {targets.shape}")
-    return float(np.sqrt(np.mean((preds - targets) ** 2)))
+        raise ContractError(f"{metric} needs equal non-empty arrays, got {preds.shape} vs {targets.shape}")
+    return preds - targets
+
+
+def rmse(preds, targets) -> float:
+    """Root mean squared error in natural units."""
+    return float(np.sqrt(np.mean(_errors(preds, targets, "rmse") ** 2)))
 
 
 def mae(preds, targets) -> float:
     """Mean absolute error in natural units."""
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if preds.size == 0 or preds.shape != targets.shape:
-        raise ContractError(f"mae needs equal non-empty arrays, got {preds.shape} vs {targets.shape}")
-    return float(np.mean(np.abs(preds - targets)))
+    return float(np.mean(np.abs(_errors(preds, targets, "mae"))))
 
 
 @dataclass
@@ -61,6 +62,12 @@ class NormStats:
         return np.asarray(z, dtype=np.float64) * self.height_std + self.height_mean
 
 
+# an EvalReport's error cells, one (task, metric) pair per printed table column
+# in table order; each pair names the fields f"{task}_{metric.__name__}_{group}"
+# for the groups male, female and all
+ERROR_COLUMNS = (("height", rmse), ("height", mae), ("age", rmse), ("age", mae))
+
+
 @dataclass
 class EvalReport:
     """Per-gender (by true label) and pooled RMSE/MAE plus gender accuracy."""
@@ -87,17 +94,13 @@ class EvalReport:
         return header + "\n" + row + "\n"
 
     def to_text(self) -> str:
-        lines = [
-            f"records: {self.n_male} male / {self.n_female} female",
-            f"{'':14s}{'Height RMSE':>12s}{'Height MAE':>12s}{'Age RMSE':>12s}{'Age MAE':>12s}",
-            f"{'male':14s}{self.height_rmse_male:12.2f}{self.height_mae_male:12.2f}"
-            f"{self.age_rmse_male:12.2f}{self.age_mae_male:12.2f}",
-            f"{'female':14s}{self.height_rmse_female:12.2f}{self.height_mae_female:12.2f}"
-            f"{self.age_rmse_female:12.2f}{self.age_mae_female:12.2f}",
-            f"{'all':14s}{self.height_rmse_all:12.2f}{self.height_mae_all:12.2f}"
-            f"{self.age_rmse_all:12.2f}{self.age_mae_all:12.2f}",
-            f"gender accuracy: {self.gender_accuracy:.4f}",
-        ]
+        labels = (f"{task.capitalize()} {metric.__name__.upper()}" for task, metric in ERROR_COLUMNS)
+        lines = [f"records: {self.n_male} male / {self.n_female} female"]
+        lines.append(f"{'':14s}" + "".join(f"{label:>12s}" for label in labels))
+        for group in ("male", "female", "all"):
+            cells = (getattr(self, f"{task}_{metric.__name__}_{group}") for task, metric in ERROR_COLUMNS)
+            lines.append(f"{group:14s}" + "".join(f"{c:12.2f}" for c in cells))
+        lines.append(f"gender accuracy: {self.gender_accuracy:.4f}")
         return "\n".join(lines) + "\n"
 
 
@@ -110,31 +113,19 @@ def build_report(preds, truth) -> EvalReport:
     ages_pred, heights_pred, genders_pred = (np.asarray(p, dtype=np.float64) for p in preds)
     ages_true, heights_true = (np.asarray(t, dtype=np.float64) for t in truth[:2])
     genders_true = np.asarray(truth[2])
+    pairs = {"age": (ages_pred, ages_true), "height": (heights_pred, heights_true)}
     male = genders_true == 0
     female = genders_true == 1
-
-    def cell(metric, preds, targets, group):
-        # a gender can be absent in tiny validation splits; its cells are NaN
-        return metric(preds[group], targets[group]) if group.any() else math.nan
+    cells = {}
+    for task, metric in ERROR_COLUMNS:
+        p, t = pairs[task]
+        cells[f"{task}_{metric.__name__}_all"] = metric(p, t)
+        for group, mask in (("male", male), ("female", female)):
+            # a gender can be absent in tiny validation splits; its cells are NaN
+            cells[f"{task}_{metric.__name__}_{group}"] = metric(p[mask], t[mask]) if mask.any() else math.nan
 
     correct = ((genders_pred >= 0.5).astype(int) == genders_true.astype(int)).mean()
-    return EvalReport(
-        height_rmse_male=cell(rmse, heights_pred, heights_true, male),
-        height_rmse_female=cell(rmse, heights_pred, heights_true, female),
-        height_mae_male=cell(mae, heights_pred, heights_true, male),
-        height_mae_female=cell(mae, heights_pred, heights_true, female),
-        age_rmse_male=cell(rmse, ages_pred, ages_true, male),
-        age_rmse_female=cell(rmse, ages_pred, ages_true, female),
-        age_mae_male=cell(mae, ages_pred, ages_true, male),
-        age_mae_female=cell(mae, ages_pred, ages_true, female),
-        age_rmse_all=rmse(ages_pred, ages_true),
-        age_mae_all=mae(ages_pred, ages_true),
-        height_rmse_all=rmse(heights_pred, heights_true),
-        height_mae_all=mae(heights_pred, heights_true),
-        gender_accuracy=float(correct),
-        n_male=int(male.sum()),
-        n_female=int(female.sum()),
-    )
+    return EvalReport(**cells, gender_accuracy=float(correct), n_male=int(male.sum()), n_female=int(female.sum()))
 
 
 def pct_change(masked: float, base: float) -> float:
@@ -150,8 +141,14 @@ def pct_change(masked: float, base: float) -> float:
 class ImportanceTable:
     """Percentage RMSE change per masked phone class, one row per class."""
 
-    # a row's columns, in order: the EvalReport fields whose percentage change it holds
-    FIELDS = ("height_rmse_male", "height_rmse_female", "age_rmse_male", "age_rmse_female")
+    # a row's columns, in order: the EvalReport field whose percentage change
+    # it holds, with that column's printed label and width
+    FIELDS = {
+        "height_rmse_male": ("Height RMSE M", 14),
+        "height_rmse_female": ("Height RMSE F", 14),
+        "age_rmse_male": ("Age RMSE M", 12),
+        "age_rmse_female": ("Age RMSE F", 12),
+    }
     base: EvalReport
     rows: dict  # PhoneClass -> one percentage per FIELDS entry
 
@@ -163,8 +160,9 @@ class ImportanceTable:
         return "\n".join(out) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"{'Mask':14s}{'Height RMSE M':>14s}{'Height RMSE F':>14s}{'Age RMSE M':>12s}{'Age RMSE F':>12s}"]
+        columns = self.FIELDS.values()
+        lines = [f"{'Mask':14s}" + "".join(f"{label:>{width}s}" for label, width in columns)]
         for cls in TABLE_ORDER:
-            h_m, h_f, a_m, a_f = self.rows[cls]
-            lines.append(f"{cls.value:14s}{h_m:13.2f}%{h_f:13.2f}%{a_m:11.2f}%{a_f:11.2f}%")
+            cells = zip(self.rows[cls], columns)
+            lines.append(f"{cls.value:14s}" + "".join(f"{c:{width - 1}.2f}%" for c, (_, width) in cells))
         return "\n".join(lines) + "\n"

@@ -46,8 +46,6 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if g.shape != p.data.shape:
-                raise NumericError(f"gradient shape {g.shape} does not match parameter '{name}' {p.data.shape}")
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
             m = st.m[name] = BETA1 * st.m[name] + (1.0 - BETA1) * g

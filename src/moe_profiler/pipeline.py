@@ -4,7 +4,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, read_audio
 from .dsp import cmvn, fbank, mfcc
-from .errors import ConfigError, DataError, FormatError, LengthError
+from .errors import ConfigError, FormatError, LengthError
 from .losses import LabeledSample
 from .tensor import no_grad
 
@@ -96,8 +96,6 @@ def pooled_batches(samples, batch_size, seed, epoch):
     order shuffled by the same RNG; the one short remainder, if any, comes
     last. Batches therefore depend on (seed, epoch) alone.
     """
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng([seed, epoch])
     order = rng.permutation(len(samples)).tolist()
     pool = POOL_BATCHES * batch_size

@@ -58,10 +58,10 @@ class TrainResult:
 
 
 def _losses_to_row(epoch, split, means, net):
-    s_h, s_a, s_g = (float(t.data) for t in net.log_vars())
-    lh, la, lg = means
-    total = 0.5 * (np.exp(-s_h) * lh + np.exp(-s_a) * la + np.exp(-s_g) * lg) + 0.5 * (s_h + s_a + s_g)
-    return EpochRow(epoch, split, float(total), lh, la, lg, s_h, s_a, s_g)
+    """The log row of the (L_height, L_age, L_gender) means, its L_total their uncertainty_loss in float64."""
+    columns = (*means, *(float(t.data) for t in net.log_vars()))
+    total = uncertainty_loss(*(Tensor(v) for v in columns))
+    return EpochRow(epoch, split, float(total.data), *columns)
 
 
 def batch_loss(net, norm, samples) -> tuple:

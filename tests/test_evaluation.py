@@ -9,7 +9,7 @@ from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, FormatError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
-from moe_profiler.metrics import build_report, mae, pct_change, rmse
+from moe_profiler.metrics import ImportanceTable, build_report, mae, pct_change, rmse
 from moe_profiler.model import SpeakerProfiler
 from moe_profiler.pipeline import predict_records, predict_samples, record_labels, record_sample
 from moe_profiler.phones import TABLE_ORDER, PhoneClass, mask_phone_class, parse_phn
@@ -78,6 +78,37 @@ def test_csv_header_is_the_report_float_fields_in_order():
         "height_rmse_male,height_rmse_female,height_mae_male,height_mae_female,"
         "age_rmse_male,age_rmse_female,age_mae_male,age_mae_female,"
         "age_rmse_all,age_mae_all,height_rmse_all,height_mae_all,gender_accuracy"
+    )
+
+
+def test_report_text_is_byte_pinned_with_an_absent_gender():
+    # no female record, so every female cell is NaN
+    preds = ([30.0, 52.5, 41.0], [170.0, 181.25, 176.0], [0.2, 0.4, 0.7])
+    rep = build_report(preds, ([33.0, 50.0, 40.0], [172.0, 180.0, 170.0], [0, 0, 0]))
+    assert rep.to_text() == (
+        "records: 3 male / 0 female\n"
+        "               Height RMSE  Height MAE    Age RMSE     Age MAE\n"
+        "male                  3.72        3.08        2.33        2.17\n"
+        "female                 nan         nan         nan         nan\n"
+        "all                   3.72        3.08        2.33        2.17\n"
+        "gender accuracy: 0.6667\n"
+    )
+
+
+def test_importance_text_is_byte_pinned():
+    rep = build_report(([30.0, 40.0], [170.0, 160.0], [0.2, 0.9]), ([31.0, 42.0], [172.0, 158.0], [0, 1]))
+    cells = [(-12.5, 0.0, 150.25, -0.004), (250.0, -99.999, 3.14159, 100.0)]
+    cells += [(float(i), -10.5 * i, 1000.0 + i, -0.5) for i in range(2, 6)] + [(np.inf, 0.0, -np.inf, 1e4)]
+    table = ImportanceTable(base=rep, rows=dict(zip(TABLE_ORDER, cells)))
+    assert table.to_text() == (
+        "Mask           Height RMSE M Height RMSE F  Age RMSE M  Age RMSE F\n"
+        "Vowels               -12.50%         0.00%     150.25%      -0.00%\n"
+        "Nasals               250.00%      -100.00%       3.14%     100.00%\n"
+        "Semivowels             2.00%       -21.00%    1002.00%      -0.50%\n"
+        "Affricates             3.00%       -31.50%    1003.00%      -0.50%\n"
+        "Fricatives             4.00%       -42.00%    1004.00%      -0.50%\n"
+        "Stops                  5.00%       -52.50%    1005.00%      -0.50%\n"
+        "Others                  inf%         0.00%       -inf%   10000.00%\n"
     )
 
 

@@ -8,7 +8,6 @@ import pytest
 from moe_profiler import dsp, pipeline
 from moe_profiler.audio import read_audio
 from moe_profiler.corpus import scan_corpus
-from moe_profiler.errors import DataError
 from moe_profiler.losses import LabeledSample
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import SpeakerProfiler
@@ -209,10 +208,6 @@ class TestBatches:
             assert sum(max(s.n_samples for s in b) * len(b) for b in pooled) < sum(
                 lengths[b].max() * len(b) for b in shuffled
             )
-
-    def test_batch_size_below_one_rejected(self):
-        with pytest.raises(DataError):
-            next(pooled_batches(fake_samples([8000]), 0, 0, 1))
 
 
 @pytest.mark.parametrize("kind", ["fbank", "mfcc"])

@@ -11,7 +11,7 @@ from moe_profiler.config import TrainConfig
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import mixup, task_losses, tile_to
+from moe_profiler.losses import mixup, task_losses, tile_to, uncertainty_loss
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
@@ -66,6 +66,16 @@ def test_best_checkpoint_tracks_monitored_loss(corpus4_records):
     monitored = [r for r in result.log_rows if r.split == "train"]  # no val on 4 records
     best = min(monitored, key=lambda r: r.l_total)
     assert result.best_epoch == best.epoch
+
+
+def test_logged_total_is_the_uncertainty_loss_of_its_own_columns(corpus16):
+    # in one of these rows the closed form summed in numpy's own order lands one ulp off,
+    # so the exact comparison tells uncertainty_loss from a restatement of its formula
+    result = train(tiny_config(max_epochs=6, batch_size=8, seed=0, lr=1e-2, patience=20), scan_corpus(corpus16))
+    assert len(result.log_rows) == 12 and {r.split for r in result.log_rows} == {"train", "val"}
+    for r in result.log_rows:
+        columns = (r.l_height, r.l_age, r.l_gender, r.s_height, r.s_age, r.s_gender)
+        assert r.l_total == float(uncertainty_loss(*(Tensor(np.float64(v)) for v in columns)).data), r
 
 
 @pytest.mark.parametrize("kind", ["fbank", "mfcc"])
@@ -223,7 +233,8 @@ def test_impossible_model_shape_rejected(key, value):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("seed", -1), ("lr", np.inf), ("lr", np.nan), ("lr", -np.inf), ("patience", 0), ("patience", -5)]
+    "key,value",
+    [("seed", -1), ("lr", np.inf), ("lr", np.nan), ("lr", -np.inf), ("patience", 0), ("patience", -5), ("batch_size", 0)],
 )
 def test_impossible_run_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key):

@@ -6,7 +6,8 @@ Pins BLAS to one thread, synthesizes corpus seed 11 (16 speakers x 2
 utterances) and trains 3 epochs at the README quick-start widths for each
 config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
 bytes, val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
-table CSV, the `predict_records` arrays of the test split and, as a direct
+table CSV, the text that `train`, `evaluate` and `analyze-phones` print, the
+`predict_records` arrays of the test split and, as a direct
 check of the autodiff tape, every parameter's `.grad` after one recorded
 training batch of the restored model (the first 16 train records, with
 dropout, and with mixup where the config enables it).
@@ -68,11 +69,13 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+def run_cli(*argv) -> bytes:
+    """Run one moe-profiler command; returns what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main([str(a) for a in argv])
     if code != 0:
         raise SystemExit(f"moe-profiler {argv[0]} exited {code}")
+    return out.getvalue().encode()
 
 
 def grad_digest(ck, records):
@@ -100,10 +103,12 @@ def parity(work: Path):
         cfg = work / f"{name}.cfg"
         items = {"corpus_root": corpus, "out_dir": out, **QUICK_START, **extra}
         cfg.write_text("".join(f"{k}={v}\n" for k, v in items.items()))
-        run_cli("train", "--config", cfg)
+        train_text = run_cli("train", "--config", cfg)
         ckpt = out / "checkpoint.bemx"
-        run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus, "--split", "test", "--out", out / "eval_test.csv")
-        run_cli("analyze-phones", "--checkpoint", ckpt, "--corpus", corpus, "--out", out / "phones.csv")
+        eval_text = run_cli(
+            "evaluate", "--checkpoint", ckpt, "--corpus", corpus, "--split", "test", "--out", out / "eval_test.csv"
+        )
+        phones_text = run_cli("analyze-phones", "--checkpoint", ckpt, "--corpus", corpus, "--out", out / "phones.csv")
         ck = load_checkpoint(ckpt)
         preds = predict_records(restore_model(ck), ck.norm, test_records)
         hashes = {
@@ -112,6 +117,9 @@ def parity(work: Path):
             "val_report": digest((out / "val_report.csv").read_bytes()),
             "eval_test": digest((out / "eval_test.csv").read_bytes()),
             "phones": digest((out / "phones.csv").read_bytes()),
+            "train_text": digest(train_text),
+            "eval_text": digest(eval_text),
+            "phones_text": digest(phones_text),
             "predict_records": digest(b"".join(a.tobytes() for a in preds)),
             "grads": grad_digest(ck, batch_records),
         }
