@@ -69,8 +69,8 @@ def test_best_checkpoint_tracks_monitored_loss(corpus4_records):
 
 
 def test_logged_total_is_the_uncertainty_loss_of_its_own_columns(corpus16):
-    # in one of these rows the closed form summed in numpy's own order lands one ulp off,
-    # so the exact comparison tells uncertainty_loss from a restatement of its formula
+    # in one of these rows the same formula summed in another order lands one ulp off,
+    # so the exact comparison tells uncertainty_loss from a restatement of it
     result = train(tiny_config(max_epochs=6, batch_size=8, seed=0, lr=1e-2, patience=20), scan_corpus(corpus16))
     assert len(result.log_rows) == 12 and {r.split for r in result.log_rows} == {"train", "val"}
     for r in result.log_rows:

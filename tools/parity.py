@@ -7,10 +7,10 @@ utterances) and trains 3 epochs at the README quick-start widths for each
 config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
 bytes, val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
 table CSV, the text that `train`, `evaluate` and `analyze-phones` print, the
-`predict_records` arrays of the test split and, as a direct
-check of the autodiff tape, every parameter's `.grad` after one recorded
-training batch of the restored model (the first 16 train records, with
-dropout, and with mixup where the config enables it).
+`predict_records` arrays of the test split and, as a direct check of the
+autodiff tape, every parameter's `.grad` after one recorded training batch
+of the restored model (the first 16 train records, with dropout, and with
+mixup where the config enables it).
 
 Two checkouts that print the same lines produce bitwise-equal outputs. The
 hashes depend on the BLAS build and the platform, so compare runs on one
