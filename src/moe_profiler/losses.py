@@ -56,12 +56,12 @@ def length_align(x_i, x_j):
 def mixup(sample_i: LabeledSample, sample_j: LabeledSample, lam: float) -> LabeledSample:
     """Convex combination of two samples: lam * i + (1 - lam) * j.
 
-    Inputs are length-aligned by tiling before mixing; every label uses
-    the same lam.
+    Inputs are length-aligned by tiling and mixed in float64, whatever
+    their dtype and lam's type; every label uses the same lam.
     """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"mixup lambda must lie in [0, 1], got {lam}")
-    wi, wj = length_align(sample_i.inputs, sample_j.inputs)
+    wi, wj = (w.astype(np.float64, copy=False) for w in length_align(sample_i.inputs, sample_j.inputs))
     return LabeledSample(
         inputs=lam * wi + (1.0 - lam) * wj,
         height_cm=lam * sample_i.height_cm + (1.0 - lam) * sample_j.height_cm,

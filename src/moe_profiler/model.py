@@ -247,8 +247,6 @@ class SpeakerProfiler:
         x = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats, dtype=self.dtype))
         if x.ndim != 3:
             raise ShapeError(f"expected (B, T, D) features, got {x.shape}")
-        if x.shape[1] < 1:
-            raise LengthError("empty feature sequence")
         b = x.shape[0]
         views = [self.expert_forward(x, prefix, training, frame_mask) for prefix in expert_prefixes(self.cfg)]
         if force_gate is not None:

@@ -61,22 +61,16 @@ def phone_class_of(symbol: str) -> PhoneClass:
 
 @dataclass
 class PhoneticTranscription:
-    """Sorted, non-overlapping (start_sample, end_sample, symbol) segments; classes holds each one's PhoneClass."""
+    """Sorted, non-overlapping (start_sample, end_sample, symbol) segments, as parse_phn checks them.
+
+    classes holds each segment's PhoneClass.
+    """
 
     segments: list
     classes: list = field(init=False)
 
     def __post_init__(self):
-        for start, end, _ in self.segments:
-            if start < 0 or end <= start:
-                raise FormatError(f"bad segment [{start}, {end})")
-        for (s0, e0, _), (s1, _, _) in zip(self.segments, self.segments[1:]):
-            if s1 < e0:
-                raise FormatError(f"overlapping segments at sample {s1}")
         self.classes = [phone_class_of(sym) for _, _, sym in self.segments]
-
-    def __len__(self):
-        return len(self.segments)
 
 
 def parse_phn(path) -> PhoneticTranscription:

@@ -22,22 +22,21 @@ def record_sample(net, record, wave: Waveform) -> LabeledSample:
     """A record's labels with its model input; the one gate where audio reaches the model.
 
     The audio's length is checked against the model's own frame rule
-    (net.frames_for_samples), and the input is computed here, once: the raw
-    samples for a conv frontend, else the record's fbank/mfcc frames in the
-    model's dtype, the audio dropped. Audio too short for the model raises
-    LengthError naming the file. The sample keeps the audio's length in samples.
+    (net.frames_for_samples), and the input is computed here, once, in the
+    model's dtype: the raw samples for a conv frontend (16-bit PCM is exact
+    in float32), else the record's fbank/mfcc frames, the audio dropped.
+    Audio too short for the model raises LengthError naming the file. The
+    sample keeps the audio's length in samples.
     """
     if wave.sample_rate != SAMPLE_RATE:
         raise FormatError(f"{record.utterance_path}: sample rate {wave.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
     try:
         net.frames_for_samples(len(wave))
-        inputs = wave.samples
-        if net.conv_cfg is None:
-            inputs = featurize(net.cfg.feature_kind, wave).astype(net.dtype, copy=False)
+        inputs = wave.samples if net.conv_cfg is not None else featurize(net.cfg.feature_kind, wave)
     except LengthError as exc:
         raise LengthError(f"{record.utterance_path}: {exc}") from exc
     return LabeledSample(
-        inputs=inputs,
+        inputs=inputs.astype(net.dtype, copy=False),
         height_cm=record.height_cm,
         age_years=float(record.age_years),
         gender=float(record.gender),

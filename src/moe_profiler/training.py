@@ -9,13 +9,13 @@ fixed config and seed.
 """
 
 import logging
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audio import read_audio
-from .checkpoint import save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .config import TrainConfig
 from .corpus import split_train_val
 from .errors import DataError, NumericError
@@ -27,8 +27,6 @@ from .pipeline import batch_forward, pooled_batches, predict_samples, record_lab
 from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")
-
-LOG_HEADER = "epoch,split,L_total,L_height,L_age,L_gender,s_height,s_age,s_gender"
 
 
 @dataclass
@@ -47,12 +45,14 @@ class EpochRow:
         return f"{self.epoch},{self.split}," + ",".join(format(v, ".8g") for v in astuple(self)[2:])
 
 
+# train_log.csv's header: EpochRow's fields, the loss columns printed as L_*
+LOG_HEADER = ",".join("L" + f.name[1:] if f.name.startswith("l_") else f.name for f in fields(EpochRow))
+
+
 @dataclass
-class TrainResult:
-    cfg: TrainConfig
-    norm: NormStats
-    best_params: dict  # name -> np.ndarray snapshot of the best epoch
-    best_epoch: int
+class TrainResult(Checkpoint):
+    """The best epoch's checkpoint, as train() saves it, with the run's log rows and validation report."""
+
     log_rows: list = field(default_factory=list)
     val_report: object = None
 
@@ -109,7 +109,7 @@ def _val_row(net, norm, epoch, preds, labels) -> EpochRow:
 
 
 def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
-    """Train on the 'train' split of records; returns the best checkpoint state.
+    """Train on the 'train' split of records; returns the best epoch's checkpoint as a TrainResult.
 
     split_train_val takes the validation records out of that split. When out_dir
     is given, writes checkpoint.bemx, train_log.csv and val_report.csv there;
@@ -147,10 +147,9 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
             with open(out_dir / "train_log.csv", "a") as f:
                 f.write(row.to_csv() + "\n")
 
+    # epoch 1 always becomes the best epoch: its monitored loss is finite, or the run aborts
     best_loss = np.inf
-    best_epoch = 0
-    best_params = {n: p.data.copy() for n, p in net.parameters().items()}
-    preds = best_preds = None
+    preds = None
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -165,7 +164,7 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
         if monitor < best_loss:
             best_loss = monitor
             best_epoch = epoch
-            best_params = {n: p.data.copy() for n, p in net.parameters().items()}
+            best_tensors = {n: p.data.copy() for n, p in net.parameters().items()}
             best_preds = preds
             stale = 0
         else:
@@ -174,12 +173,12 @@ def train(cfg: TrainConfig, records, out_dir=None) -> TrainResult:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
 
-    result = TrainResult(cfg=cfg, norm=norm, best_params=best_params, best_epoch=best_epoch, log_rows=rows)
+    result = TrainResult(cfg=cfg, norm=norm, best_epoch=best_epoch, tensors=best_tensors, log_rows=rows)
     if best_preds is not None:
         result.val_report = build_report(best_preds, val_labels)
 
     if out_dir is not None:
-        save_checkpoint(out_dir / "checkpoint.bemx", cfg, norm, best_params, best_epoch)
+        save_checkpoint(out_dir / "checkpoint.bemx", result.cfg, result.norm, result.tensors, result.best_epoch)
         if result.val_report is not None:
             (out_dir / "val_report.csv").write_text(result.val_report.to_csv())
         log.info("wrote checkpoint and logs under %s", out_dir)

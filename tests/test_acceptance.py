@@ -88,7 +88,7 @@ def trained64(corpus64):
     seconds = time.time() - t0
     net = SpeakerProfiler(cfg)
     for name, p in net.parameters().items():
-        p.data = result.best_params[name].copy()
+        p.data = result.tensors[name].copy()
     return net, result, records, seconds
 
 
@@ -292,9 +292,7 @@ def test_criterion_09_bi_single_parity(corpus16, rng):
         for mode in ("bi_encoder", "single_encoder"):
             cfg = tiny_config(mode=mode, max_epochs=2, batch_size=8, seed=5)
             result = train(cfg, records)
-            net = SpeakerProfiler(cfg)
-            for name, p in net.parameters().items():
-                p.data = result.best_params[name].copy()
+            net = restore_model(result)
             test_recs = [r for r in records if r.split == "test"]
             reports[mode] = evaluate(net, result.norm, test_recs)
         for rep in reports.values():
@@ -353,7 +351,7 @@ def test_criterion_11_checkpoint_roundtrip(trained64, tmp_path):
         in_memory = evaluate(net, result.norm, test_recs).to_csv()
 
         path = tmp_path / "ck.bemx"
-        save_checkpoint(path, result.cfg, result.norm, result.best_params, result.best_epoch)
+        save_checkpoint(path, result.cfg, result.norm, result.tensors, result.best_epoch)
         ck = load_checkpoint(path)
         restored = restore_model(ck)
         for name, p in net.parameters().items():

@@ -6,11 +6,11 @@ import pytest
 
 from moe_profiler import audio, evaluation, pipeline
 from moe_profiler.audio import read_audio
+from moe_profiler.checkpoint import restore_model
 from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, FormatError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
 from moe_profiler.metrics import ImportanceTable, build_report, mae, pct_change, rmse
-from moe_profiler.model import SpeakerProfiler
 from moe_profiler.pipeline import predict_records, predict_samples, record_labels, record_sample
 from moe_profiler.phones import TABLE_ORDER, PhoneClass, mask_phone_class, parse_phn
 from moe_profiler.training import train
@@ -122,10 +122,7 @@ def test_pct_change_identity_and_sign():
 def trained16(corpus16_records_module):
     cfg = tiny_config(max_epochs=8, batch_size=8, seed=5)
     result = train(cfg, corpus16_records_module)
-    net = SpeakerProfiler(cfg)
-    for name, p in net.parameters().items():
-        p.data = result.best_params[name].copy()
-    return net, result
+    return restore_model(result), result
 
 
 @pytest.fixture(scope="module")

@@ -201,6 +201,16 @@ class TestMixup:
             assert min(ai, aj) - 1e-9 <= m.age_years <= max(ai, aj) + 1e-9
             assert 0.0 <= m.gender <= 1.0
 
+    def test_float32_sources_mix_as_their_float64_copies(self, rng):
+        # prepared conv audio is float32; a mix is formed in float64 whatever lam's type
+        for lam in (0.3, np.float64(0.3), float(rng.random()), rng.random(1)[0]):
+            wi, wj = (rng.integers(-32768, 32768, size=n) / 32768.0 for n in (7, 11))
+            s32 = [LabeledSample(w.astype(np.float32), 170.0, 30.0, 0.0) for w in (wi, wj)]
+            s64 = [LabeledSample(w, 170.0, 30.0, 0.0) for w in (wi, wj)]
+            got, want = mixup(*s32, lam), mixup(*s64, lam)
+            assert got.inputs.dtype == want.inputs.dtype == np.float64
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+
     def test_bad_lambda_rejected(self, rng):
         si = sample(rng.normal(size=4), 170, 30, 0)
         with pytest.raises(ContractError):

@@ -12,8 +12,8 @@ from moe_profiler.model import (
     gate_predict,
     statistical_pooling,
 )
-from moe_profiler.pipeline import batch_forward
 from moe_profiler.tensor import Tensor
+from moe_profiler.training import batch_loss
 
 from .conftest import tiny_config
 from .helpers import FD_EPS, check_op_grads, numeric_grads, rel_err
@@ -287,20 +287,16 @@ def e2e_grad_check(tol=1e-3, max_params=None, masked=False, lengths=(1040, 720),
             LabeledSample(rng.normal(size=n) * 0.3, height, age, gender)
             for n, height, age, gender in zip(lengths, (172.0, 160.0), (33.0, 51.0), (1.0, 0.0))
         ]
-        labels = ([s.height_cm for s in samples], [s.age_years for s in samples], [s.gender for s in samples])
 
-        def forward():
-            return batch_forward(net, samples)
+        def build():
+            # the training step's own loss; dropout is 0, so training mode changes nothing
+            return batch_loss(net, norm, samples)[1]
     else:
         wav = rng.normal(size=(1, 720)) * 0.3
-        labels = ([172.0], [33.0], [1.0])
 
-        def forward():
-            return net.forward(Tensor(wav))
-
-    def build():
-        l_h, l_a, l_g = task_losses(forward(), *labels, norm)
-        return uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
+        def build():
+            l_h, l_a, l_g = task_losses(net.forward(Tensor(wav)), [172.0], [33.0], [1.0], norm)
+            return uncertainty_loss(l_h, l_a, l_g, *net.log_vars())
 
     loss = build()
     for p in net.parameters().values():

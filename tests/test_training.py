@@ -7,6 +7,7 @@ import pytest
 from moe_profiler import evaluation, pipeline, training
 from moe_profiler import tensor as T
 from moe_profiler.audio import read_audio, write_wav
+from moe_profiler.checkpoint import load_checkpoint, restore_model
 from moe_profiler.config import TrainConfig
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
@@ -27,7 +28,7 @@ def test_lr_zero_leaves_params_unchanged(corpus4_records):
     result = train(cfg, corpus4_records)
     fresh = SpeakerProfiler(cfg)
     for name, p in fresh.parameters().items():
-        assert np.array_equal(result.best_params[name], p.data), name
+        assert np.array_equal(result.tensors[name], p.data), name
 
 
 def test_same_seed_identical_logs_and_params(corpus4_records):
@@ -35,8 +36,31 @@ def test_same_seed_identical_logs_and_params(corpus4_records):
     a = train(cfg, corpus4_records)
     b = train(cfg, corpus4_records)
     assert a.log_rows == b.log_rows
-    for name in a.best_params:
-        assert np.array_equal(a.best_params[name], b.best_params[name])
+    for name in a.tensors:
+        assert np.array_equal(a.tensors[name], b.tensors[name])
+
+
+def test_train_returns_the_checkpoint_it_saves(corpus16, tmp_path):
+    cfg = tiny_config(max_epochs=3, val_fraction=0.3)
+    result = train(cfg, scan_corpus(corpus16), tmp_path)
+    ck = load_checkpoint(tmp_path / "checkpoint.bemx")
+    assert (ck.cfg, ck.norm, ck.best_epoch) == (result.cfg, result.norm, result.best_epoch)
+    assert sorted(ck.tensors) == sorted(result.tensors)
+    for name, arr in result.tensors.items():
+        assert ck.tensors[name].dtype == arr.dtype and ck.tensors[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["conv", "fbank", "mfcc"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_record_sample_inputs_are_in_the_model_dtype(corpus4_records, kind, dtype):
+    net = SpeakerProfiler(tiny_config(feature_kind=kind), dtype=dtype)
+    for record in corpus4_records:
+        wave = read_audio(record.utterance_path)
+        sample = record_sample(net, record, wave)
+        assert sample.inputs.dtype == net.dtype
+        if kind == "conv":
+            # 16-bit PCM scaled by 1/32768 is exact in float32
+            assert np.array_equal(sample.inputs, wave.samples)
 
 
 def test_loss_decreases_on_overfit(corpus4_records):
@@ -256,13 +280,6 @@ def test_smallest_model_shape_runs(corpus4_records):
     assert np.all(np.isfinite(batch_forward(net, samples).age_z.data))
 
 
-def _net_from(cfg, params):
-    net = SpeakerProfiler(cfg)
-    for name, p in net.parameters().items():
-        p.data = params[name].copy()
-    return net
-
-
 def _val_records(records, cfg):
     return split_train_val(records, cfg.seed, cfg.val_fraction)[1]
 
@@ -277,7 +294,7 @@ def test_val_row_is_eval_mode_unmixed_unsalted(corpus16):
     val_row = next(r for r in result.log_rows if r.split == "val")
 
     val_recs = _val_records(records, cfg)
-    ages, heights, genders = predict_records(_net_from(cfg, result.best_params), result.norm, val_recs)
+    ages, heights, genders = predict_records(restore_model(result), result.norm, val_recs)
     pred = ModelOutput(
         age_z=Tensor(result.norm.z_age(ages)), height_z=Tensor(result.norm.z_height(heights)), gender_p=Tensor(genders)
     )
@@ -314,7 +331,7 @@ def test_val_report_is_best_epoch_evaluate_from_one_pass_per_epoch(corpus16, mon
     assert calls == ["moe_profiler.training"] * len(val_rows)
 
     monkeypatch.undo()
-    want = evaluate(_net_from(cfg, result.best_params), result.norm, _val_records(records, cfg))
+    want = evaluate(restore_model(result), result.norm, _val_records(records, cfg))
     assert dataclasses.astuple(result.val_report) == dataclasses.astuple(want)
 
 
