@@ -116,7 +116,7 @@ def pooled_batches(samples, batch_size, seed, epoch):
 EVAL_BATCH_SAMPLES = 1 << 16
 
 # records are read and sorted in consecutive windows of at least this many
-# samples (4 MB as float64), so inference holds one window of audio, not the
+# samples (2 MB as float32), so inference holds one window of audio, not the
 # whole record list; the 128 quick-start records then take 26 forwards, against
 # 24 when all of them are sorted at once
 EVAL_WINDOW_SAMPLES = 8 * EVAL_BATCH_SAMPLES
