@@ -99,10 +99,11 @@ def load_checkpoint(path) -> Checkpoint:
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length", path))
         cfg_text = _read_text(f, cfg_len, "config", path)
         items = parse_config_text(cfg_text)
-        # older checkpoints store keys of removed settings: alignment_masking never
-        # changed a parameter or an inference result, and every model now adds
-        # positional encodings, so only use_positional_encoding=true can be rebuilt
-        items.pop("alignment_masking", None)
+        # older checkpoints store keys of removed settings: these two never changed
+        # what a stored model computes, and every model now adds positional
+        # encodings, so only use_positional_encoding=true can be rebuilt
+        for key in ("alignment_masking", "num_frozen_layers"):
+            items.pop(key, None)
         pe = items.pop("use_positional_encoding", "true")
         if pe != "true":
             raise ConfigError(f"{path}: use_positional_encoding={pe} is no longer supported")
@@ -139,7 +140,7 @@ def restore_model(ck: Checkpoint) -> SpeakerProfiler:
     The config's parameter shapes are checked against the tensors before the
     model is built, so a corrupt config allocates nothing.
     """
-    shapes = {name: shape for name, shape, _ in param_specs(ck.cfg)}
+    shapes = dict(param_specs(ck.cfg))
     missing = sorted(set(shapes) - set(ck.tensors))
     extra = sorted(set(ck.tensors) - set(shapes))
     if missing or extra:

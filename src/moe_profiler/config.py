@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .frontend import CONV_LAYERS
 
 FEATURE_KINDS = ("fbank", "mfcc", "conv")
 MODES = ("bi_encoder", "single_encoder")
@@ -22,7 +21,6 @@ MIN_VALUES = {
     "seed": 0,
     "max_epochs": 1,
     "batch_size": 1,
-    "num_frozen_layers": 0,
     "model_dim": 2,
     "num_layers": 0,
     "num_heads": 1,
@@ -43,7 +41,6 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     mixup_enabled: bool = True
-    num_frozen_layers: int = 0
     # model shape
     model_dim: int = 128
     num_layers: int = 6
@@ -69,8 +66,6 @@ class TrainConfig:
         for key, low in MIN_VALUES.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.num_frozen_layers > len(CONV_LAYERS):
-            raise ConfigError(f"num_frozen_layers must be <= {len(CONV_LAYERS)}, got {self.num_frozen_layers}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_p < 1.0:

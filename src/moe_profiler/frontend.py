@@ -4,8 +4,8 @@ A stack of strided valid 1D convolutions, each followed by layer norm and
 GELU, turning raw 16 kHz samples into a frame sequence. The layers are
 wav2vec 2.0's feature encoder (CONV_LAYERS), which downsamples by a factor
 of 320, i.e. one frame per 20 ms, with a 400-sample receptive field; every
-layer has the same channel count. The first num_frozen_layers layers are
-excluded from gradient updates.
+layer has the same channel count. Every parameter is trained: freezing
+the stack only means something once it holds pretrained weights.
 """
 
 from dataclasses import dataclass
@@ -22,15 +22,14 @@ CONV_LAYERS = ((10, 5), (3, 2), (3, 2), (3, 2), (3, 2), (2, 2), (2, 2))
 
 @dataclass
 class ConvFrontendConfig:
-    """Channel count of every CONV_LAYERS layer, and how many of them, input side first, are frozen."""
+    """Channel count of every CONV_LAYERS layer."""
 
     channels: int
-    num_frozen_layers: int = 0
 
     @classmethod
-    def default(cls, channels=64, num_frozen_layers=0):
+    def default(cls, channels=64):
         """The frontend at wav2vec 2.0's shape: 64 channels unless given."""
-        return cls(channels, num_frozen_layers)
+        return cls(channels)
 
     def receptive_field(self):
         """Input samples feeding one output frame (also the minimum input length)."""
@@ -53,16 +52,15 @@ class ConvFrontendConfig:
 
 
 def frontend_param_specs(cfg: ConvFrontendConfig):
-    """(name, shape, trainable) of the conv + layer-norm parameters, in init order."""
+    """(name, shape) of the conv + layer-norm parameters, in init order."""
     specs = []
     cin = 1
     for i, (kernel, _) in enumerate(CONV_LAYERS):
-        trainable = i >= cfg.num_frozen_layers
         specs += [
-            (f"frontend.conv{i}.w", (kernel, cin, cfg.channels), trainable),
-            (f"frontend.conv{i}.b", (cfg.channels,), trainable),
-            (f"frontend.ln{i}.gain", (cfg.channels,), trainable),
-            (f"frontend.ln{i}.bias", (cfg.channels,), trainable),
+            (f"frontend.conv{i}.w", (kernel, cin, cfg.channels)),
+            (f"frontend.conv{i}.b", (cfg.channels,)),
+            (f"frontend.ln{i}.gain", (cfg.channels,)),
+            (f"frontend.ln{i}.bias", (cfg.channels,)),
         ]
         cin = cfg.channels
     return specs

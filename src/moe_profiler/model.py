@@ -89,11 +89,11 @@ def gate_predict(views, w, b):
 
 def frontend_config(cfg: TrainConfig):
     """The conv frontend cfg builds, or None when the model takes fbank/mfcc frames."""
-    return ConvFrontendConfig(cfg.conv_channels, cfg.num_frozen_layers) if cfg.feature_kind == "conv" else None
+    return ConvFrontendConfig(cfg.conv_channels) if cfg.feature_kind == "conv" else None
 
 
 def param_specs(cfg: TrainConfig):
-    """(name, shape, trainable) of every parameter a config builds, in init order.
+    """(name, shape) of every parameter a config builds, in init order.
 
     Shapes only: a checkpoint is checked against these before any model
     is allocated. Loss log-variances are included.
@@ -103,10 +103,10 @@ def param_specs(cfg: TrainConfig):
     in_dim = conv_cfg.channels if conv_cfg is not None else FEATURE_DIMS[cfg.feature_kind]
 
     def linear(name, din, dout):
-        specs.extend([(f"{name}.w", (din, dout), True), (f"{name}.b", (dout,), True)])
+        specs.extend([(f"{name}.w", (din, dout)), (f"{name}.b", (dout,))])
 
     def ln(name, d):
-        specs.extend([(f"{name}.gain", (d,), True), (f"{name}.bias", (d,), True)])
+        specs.extend([(f"{name}.gain", (d,)), (f"{name}.bias", (d,))])
 
     d = cfg.model_dim
     prefixes = expert_prefixes(cfg)
@@ -126,7 +126,7 @@ def param_specs(cfg: TrainConfig):
     for task in ("age", "height"):
         linear(f"head_{task}.fc1", cfg.expert_dim, cfg.head_hidden)
         linear(f"head_{task}.fc2", cfg.head_hidden, 1)
-    specs += [(f"loss.{s}", (), True) for s in ("s_height", "s_age", "s_gender")]
+    specs += [(f"loss.{s}", ()) for s in ("s_height", "s_age", "s_gender")]
     return specs
 
 
@@ -136,20 +136,20 @@ def expert_prefixes(cfg: TrainConfig):
 
 
 def init_params(specs, rng, dtype=np.float32):
-    """name -> Tensor for each (name, shape, trainable) spec, drawn from rng in spec order.
+    """name -> trainable Tensor for each (name, shape) spec, drawn from rng in spec order.
 
     A '.w' weight is uniform in +-sqrt(6 / (fan_in + fan_out)), fan_out
     being its last axis and fan_in the product of the others; a '.gain'
     starts at ones; every other parameter at zeros.
     """
     params = {}
-    for name, shape, trainable in specs:
+    for name, shape in specs:
         if name.endswith(".w"):
             limit = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
             data = rng.uniform(-limit, limit, size=shape).astype(dtype)
         else:
             data = (np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=dtype)
-        params[name] = Tensor(data, requires_grad=trainable)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -181,7 +181,7 @@ class SpeakerProfiler:
     # -- forward ------------------------------------------------------------
 
     def _drop(self, x, training):
-        if training and self.cfg.dropout_p > 0.0:
+        if training:
             return T.dropout(x, self.cfg.dropout_p, self._droprng)
         return x
 

@@ -632,7 +632,7 @@ def conv1d(x, w, b, stride):
     x: (B, T, C_in), w: (K, C_in, C_out), b: (C_out,). Output frames are
     1 + floor((T - K) / stride). The im2col windows are not kept for
     backward: the vjp rebuilds them from x, bitwise the same, for the weight
-    gradient only, and returns None for any input that needs no gradient.
+    gradient, and builds the input gradient only when x needs one.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -651,18 +651,16 @@ def conv1d(x, w, b, stride):
     w2 = w.data.reshape(k * cin, cout)
     data = _im2col(xd, k, stride) @ w2
     data += b.data
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need_x = x.requires_grad
 
     def vjp(g):
-        gx = gw = gb = None
-        if need_w:  # the rebuilt windows are a temporary, freed before gx's taps are built
-            gw = _im2col(xd, k, stride).reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
-            gw = gw.reshape(k, cin, cout)
-        if need_b:
-            gb = g.sum(axis=(0, 1))
-        if need_x:  # not for the waveform or a layer above frozen ones
+        # the rebuilt windows are a temporary, freed before gx's taps are built
+        gw = _im2col(xd, k, stride).reshape(bsz * tp, k * cin).T @ g.reshape(bsz * tp, cout)
+        gb = g.sum(axis=(0, 1))
+        gx = None
+        if need_x:  # not for the waveform
             gx = _overlap_add((g @ w2.T).reshape(bsz, tp, k, cin), t, stride, xd.dtype)
-        return gx, gw, gb
+        return gx, gw.reshape(k, cin, cout), gb
 
     return _make(data, (x, w, b), vjp)
 

@@ -16,7 +16,6 @@ def tiny_config(**overrides):
         batch_size=4,
         seed=7,
         mixup_enabled=False,
-        num_frozen_layers=0,
         model_dim=8,
         num_layers=1,
         num_heads=2,

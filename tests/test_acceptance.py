@@ -59,7 +59,6 @@ LEARN_CFG = dict(
     batch_size=16,
     seed=11,
     mixup_enabled=True,
-    num_frozen_layers=0,
     model_dim=32,
     num_layers=2,
     num_heads=4,

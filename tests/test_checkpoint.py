@@ -184,15 +184,25 @@ def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("value", ["true", "false"])
-def test_stored_alignment_masking_key_is_dropped_on_load(tmp_path, corpus4_records, value):
-    # checkpoints written while training had an alignment_masking switch store
-    # it in their config text; they restore and evaluate as if it were absent
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        pytest.param("alignment_masking", "true", id="true"),
+        pytest.param("alignment_masking", "false", id="false"),
+        pytest.param("num_frozen_layers", "0", id="frozen_0"),
+        pytest.param("num_frozen_layers", "3", id="frozen_3"),
+        pytest.param("num_frozen_layers", "8", id="frozen_8"),
+    ],
+)
+def test_stored_alignment_masking_key_is_dropped_on_load(tmp_path, corpus4_records, key, value):
+    # checkpoints written while training had an alignment_masking switch or a
+    # frozen-layer count store it in their config text; they restore and
+    # evaluate as if it were absent (a count above the 7 conv layers included)
     cfg = tiny_config()
     plain = tmp_path / "plain.bemx"
     save_checkpoint(plain, cfg, NORM, SpeakerProfiler(cfg).parameters())
     old = write_corrupt_config_checkpoint(
-        tmp_path / "old.bemx", "val_fraction=0.15\n", f"val_fraction=0.15\nalignment_masking={value}\n"
+        tmp_path / "old.bemx", "val_fraction=0.15\n", f"val_fraction=0.15\n{key}={value}\n"
     )
     a, b = load_checkpoint(plain), load_checkpoint(old)
     assert a.cfg == b.cfg

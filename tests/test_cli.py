@@ -162,14 +162,15 @@ class TestTrainCmd:
         assert _load_run_config(cfg, ["seed=2"])[0].seed == 2
 
     def test_removed_alignment_masking_key_exit_1(self, corpus4, tmp_path, capsys):
-        # only load_checkpoint forgives the removed key; a config or override that sets it is unknown
-        cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
-        assert run("train", "--config", cfg, "--override", "alignment_masking=false") == 1
-        assert "unknown config key 'alignment_masking'" in capsys.readouterr().err
-        cfg.write_text(cfg.read_text() + "alignment_masking=true\n")
-        assert run("train", "--config", cfg) == 1
-        assert "unknown config key 'alignment_masking'" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "checkpoint.bemx").exists()
+        # only load_checkpoint forgives the removed keys; a config or override that sets one is unknown
+        for key, value in (("alignment_masking", "false"), ("num_frozen_layers", "0")):
+            cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")
+            assert run("train", "--config", cfg, "--override", f"{key}={value}") == 1
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+            cfg.write_text(cfg.read_text() + f"{key}={value}\n")
+            assert run("train", "--config", cfg) == 1
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "run" / "checkpoint.bemx").exists()
 
     def test_removed_positional_encoding_key_exit_1(self, corpus4, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.txt", corpus4, tmp_path / "run")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moe_profiler import tensor as T
+from moe_profiler.audio import read_audio
 from moe_profiler.errors import ShapeError
 from moe_profiler.losses import LabeledSample, task_losses, uncertainty_loss
 from moe_profiler.metrics import NormStats
@@ -10,8 +11,11 @@ from moe_profiler.model import (
     SpeakerProfiler,
     combine_experts,
     gate_predict,
+    param_specs,
     statistical_pooling,
 )
+from moe_profiler.optim import Adam
+from moe_profiler.pipeline import record_sample
 from moe_profiler.tensor import Tensor
 from moe_profiler.training import batch_loss
 
@@ -246,6 +250,23 @@ class TestModes:
         bi = SpeakerProfiler(feats_config(mode="bi_encoder"))
         single = SpeakerProfiler(feats_config(mode="single_encoder"))
         assert single.num_parameters() < bi.num_parameters()
+
+    @pytest.mark.parametrize("mode", ["bi_encoder", "single_encoder"])
+    @pytest.mark.parametrize("kind", ["conv", "fbank"])
+    def test_every_parameter_trains(self, corpus4_records, kind, mode):
+        # every spec the config builds needs a gradient, gets a finite one from the
+        # training loss, and is stepped by Adam
+        cfg = tiny_config(feature_kind=kind, mode=mode)
+        net = SpeakerProfiler(cfg)
+        samples = [record_sample(net, r, read_audio(r.utterance_path)) for r in corpus4_records]
+        batch_loss(net, NormStats(40.0, 10.0, 170.0, 8.0), samples)[1].backward()
+        names = [name for name, _ in param_specs(cfg)]
+        params = net.parameters()
+        assert names == list(params)
+        for name in names:
+            assert params[name].requires_grad, name
+            assert params[name].grad is not None and np.all(np.isfinite(params[name].grad)), name
+        assert list(Adam(params, cfg.lr).params) == names
 
     def test_gender_in_unit_interval_both_modes(self, rng):
         for mode in ("bi_encoder", "single_encoder"):

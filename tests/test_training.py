@@ -8,7 +8,6 @@ from moe_profiler import evaluation, pipeline, training
 from moe_profiler import tensor as T
 from moe_profiler.audio import read_audio, write_wav
 from moe_profiler.checkpoint import load_checkpoint, restore_model
-from moe_profiler.config import TrainConfig
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
@@ -263,14 +262,6 @@ def test_impossible_model_shape_rejected(key, value):
 def test_impossible_run_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         tiny_config(**{key: value})
-
-
-def test_frozen_count_validated():
-    # the bound holds for every feature kind, so no checkpoint stores a count the frontend cannot have
-    for kind in ("conv", "fbank", "mfcc"):
-        assert tiny_config(feature_kind=kind, num_frozen_layers=7).num_frozen_layers == 7
-        with pytest.raises(ConfigError, match="num_frozen_layers must be <= 7"):
-            TrainConfig(feature_kind=kind, num_frozen_layers=8)
 
 
 def test_smallest_model_shape_runs(corpus4_records):

@@ -5,7 +5,9 @@
 Pins BLAS to one thread, synthesizes corpus seed 11 (16 speakers x 2
 utterances) and trains 3 epochs at the README quick-start widths for each
 config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
-bytes, val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
+bytes, what loading the checkpoint gives (its tensors, norm stats and best
+epoch, so a change to the stored config text alone still shows the state
+unchanged), val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
 table CSV, the text that `train`, `evaluate` and `analyze-phones` print, the
 `predict_records` arrays of the test split and, as a direct check of the
 autodiff tape, every parameter's `.grad` after one recorded training batch
@@ -24,8 +26,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 os.environ.setdefault("MOE_PROFILER_LOG", "error")
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -78,6 +82,14 @@ def run_cli(*argv) -> bytes:
     return out.getvalue().encode()
 
 
+def contents_digest(ck):
+    """Hash of a loaded checkpoint's tensors (name and bytes, in name order), norm stats and best epoch."""
+    parts = [name.encode() + arr.tobytes() for name, arr in sorted(ck.tensors.items())]
+    parts.append(b"norm" + struct.pack("<dddd", *dataclasses.astuple(ck.norm)))
+    parts.append(b"best_epoch" + struct.pack("<I", ck.best_epoch))
+    return digest(b"".join(parts))
+
+
 def grad_digest(ck, records):
     """Hash of every parameter's .grad, in name order, after one recorded training batch of records."""
     net = restore_model(ck)
@@ -114,6 +126,7 @@ def parity(work: Path):
         hashes = {
             "train_log": digest((out / "train_log.csv").read_bytes()),
             "checkpoint": digest(ckpt.read_bytes()),
+            "tensors": contents_digest(ck),
             "val_report": digest((out / "val_report.csv").read_bytes()),
             "eval_test": digest((out / "eval_test.csv").read_bytes()),
             "phones": digest((out / "phones.csv").read_bytes()),
