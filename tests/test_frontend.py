@@ -53,7 +53,7 @@ def test_too_short_mentions_receptive_field():
 
 def test_waveform_gradient_rebuilds_each_layers_windows_once(rng, monkeypatch):
     # a waveform that needs a gradient makes every layer's vjp build its input
-    # gradient too; the im2col windows are still rebuilt once per layer, for the weight's
+    # gradient too; the im2col windows are still rebuilt once per layer, for the weight gradient
     cfg, params = make_frontend(dtype=np.float32)
     wave = T.Tensor((rng.normal(size=(2, 1200)) * 0.2).astype(np.float32), requires_grad=True)
     out = frontend_forward(params, wave, cfg)
