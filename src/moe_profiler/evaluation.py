@@ -6,9 +6,9 @@ import numpy as np
 
 from .audio import read_audio
 from .errors import DataError, FormatError
-from .metrics import EvalReport, ImportanceTable, build_report, pct_change
+from .metrics import EvalReport, ImportanceTable, build_report, pct_change, record_labels
 from .phones import TABLE_ORDER, mask_phone_class, parse_phn
-from .pipeline import predict_records, predict_samples, record_labels, record_sample
+from .pipeline import predict_records, predict_samples, record_sample
 
 log = logging.getLogger("moe_profiler.evaluation")
 

@@ -38,19 +38,10 @@ class LabeledSample:
             self.n_samples = len(self.inputs)
 
 
-def tile_to(x, n):
-    """Repeat x end-to-end along its first axis and truncate to exactly n rows."""
-    x = np.asarray(x)
-    if len(x) >= n:
-        return x[:n]
-    reps = -(-n // len(x))
-    return np.tile(x, (reps,) + (1,) * (x.ndim - 1))[:n]
-
-
 def length_align(x_i, x_j):
-    """Tile the shorter waveform to the longer one's length; both returned."""
+    """Tile the shorter input end to end along its first axis to the longer one's length; both returned."""
     n = max(len(x_i), len(x_j))
-    return tile_to(x_i, n), tile_to(x_j, n)
+    return np.resize(x_i, (n,) + x_i.shape[1:]), np.resize(x_j, (n,) + x_j.shape[1:])
 
 
 def mixup(sample_i: LabeledSample, sample_j: LabeledSample, lam: float) -> LabeledSample:

@@ -28,6 +28,14 @@ def mae(preds, targets) -> float:
     return float(np.mean(np.abs(_errors(preds, targets, "mae"))))
 
 
+def record_labels(records):
+    """(ages, heights, genders) label arrays in record order, as predict_samples returns predictions."""
+    ages = np.array([r.age_years for r in records], dtype=np.float64)
+    heights = np.array([r.height_cm for r in records], dtype=np.float64)
+    genders = np.array([r.gender for r in records], dtype=np.int64)
+    return ages, heights, genders
+
+
 @dataclass
 class NormStats:
     """Training-split mean/std of age and height, used for z-scoring targets."""
@@ -39,8 +47,7 @@ class NormStats:
 
     @classmethod
     def fit(cls, records):
-        ages = np.array([r.age_years for r in records], dtype=np.float64)
-        heights = np.array([r.height_cm for r in records], dtype=np.float64)
+        ages, heights, _ = record_labels(records)
         if ages.size == 0:
             raise DataError("cannot fit normalization stats on an empty training split")
         age_std = float(ages.std())

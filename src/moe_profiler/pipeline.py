@@ -44,14 +44,6 @@ def record_sample(net, record, wave: Waveform) -> LabeledSample:
     )
 
 
-def record_labels(records):
-    """(ages, heights, genders) label arrays in record order, as predict_samples returns predictions."""
-    ages = np.array([r.age_years for r in records], dtype=np.float64)
-    heights = np.array([r.height_cm for r in records], dtype=np.float64)
-    genders = np.array([r.gender for r in records], dtype=np.int64)
-    return ages, heights, genders
-
-
 def align_samples(samples, dtype):
     """Write every sample's input once into one zero-padded (B, rows, ...) array in dtype.
 

@@ -433,13 +433,9 @@ def sum_(x, axis=None, weights=None):
     return _make(data, (x,), vjp)
 
 
-def mean_(x, axis=None):
+def mean_(x):
     x = _as_tensor(x)
-    if axis is None:
-        n = x.data.size
-    else:
-        n = x.shape[axis]
-    return mul(sum_(x, axis=axis), 1.0 / n)
+    return mul(sum_(x), 1.0 / x.data.size)
 
 
 def reshape(x, shape):

@@ -20,10 +20,10 @@ from .config import TrainConfig
 from .corpus import split_train_val
 from .errors import DataError, NumericError
 from .losses import mixup, task_losses, uncertainty_loss
-from .metrics import NormStats, build_report
+from .metrics import NormStats, build_report, record_labels
 from .model import ModelOutput, SpeakerProfiler
 from .optim import Adam
-from .pipeline import batch_forward, pooled_batches, predict_samples, record_labels, record_sample
+from .pipeline import batch_forward, pooled_batches, predict_samples, record_sample
 from .tensor import Tensor
 
 log = logging.getLogger("moe_profiler.training")

@@ -10,8 +10,8 @@ from moe_profiler.checkpoint import restore_model
 from moe_profiler.corpus import scan_corpus
 from moe_profiler.errors import ContractError, FormatError
 from moe_profiler.evaluation import constant_mean_report, evaluate, phoneme_importance
-from moe_profiler.metrics import ImportanceTable, build_report, mae, pct_change, rmse
-from moe_profiler.pipeline import predict_records, predict_samples, record_labels, record_sample
+from moe_profiler.metrics import ImportanceTable, build_report, mae, pct_change, record_labels, rmse
+from moe_profiler.pipeline import predict_records, predict_samples, record_sample
 from moe_profiler.phones import TABLE_ORDER, PhoneClass, mask_phone_class, parse_phn
 from moe_profiler.training import train
 

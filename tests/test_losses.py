@@ -11,7 +11,6 @@ from moe_profiler.losses import (
     mixup,
     mse_loss,
     task_losses,
-    tile_to,
     uncertainty_loss,
 )
 from moe_profiler.metrics import NormStats
@@ -149,8 +148,13 @@ class TestAlignment:
         ta, tb = length_align(a, a)
         assert np.array_equal(ta, a) and np.array_equal(tb, a)
 
-    def test_tile_to_truncates(self):
-        assert np.array_equal(tile_to(np.array([1.0, 2.0]), 5), [1.0, 2.0, 1.0, 2.0, 1.0])
+    def test_frames_tile_as_whole_rows_in_order(self):
+        a = np.arange(6.0).reshape(3, 2)
+        b = np.zeros((7, 2))
+        ta, tb = length_align(a, b)
+        assert ta.shape == (7, 2)
+        assert np.array_equal(ta, a[[0, 1, 2, 0, 1, 2, 0]])
+        assert np.array_equal(tb, b)
 
 
 def sample(wave, h, a, g):

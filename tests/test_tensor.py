@@ -517,10 +517,10 @@ def _sum_weighted(rng):
     return {"a": a}, lambda: T.sum_(T.mul(T.sum_(a, axis=1, weights=m), T.sum_(a, axis=1, weights=m)))
 
 
-@op_case("mean_axis")
-def _mean_axis(rng):
+@op_case("mean")
+def _mean(rng):
     a = t64(rng.normal(size=(3, 4)))
-    return {"a": a}, lambda: T.sum_(T.mul(T.mean_(a, axis=0), T.mean_(a, axis=0)))
+    return {"a": a}, lambda: T.mul(T.mean_(T.mul(a, a)), T.mean_(a))
 
 
 @op_case("reshape_transpose")

@@ -11,7 +11,7 @@ from moe_profiler.checkpoint import load_checkpoint, restore_model
 from moe_profiler.corpus import scan_corpus, split_train_val
 from moe_profiler.errors import ConfigError, DataError, FormatError, LengthError, NumericError
 from moe_profiler.evaluation import evaluate
-from moe_profiler.losses import mixup, task_losses, tile_to, uncertainty_loss
+from moe_profiler.losses import mixup, task_losses, uncertainty_loss
 from moe_profiler.metrics import NormStats
 from moe_profiler.model import ModelOutput, SpeakerProfiler
 from moe_profiler.optim import Adam
@@ -359,7 +359,7 @@ def test_fbank_batch_forward_keeps_float64_model_precision(corpus4_records):
     samples = [record_sample(net, r, w) for r, w in zip(corpus4_records[:2], waves)]
     frames = [featurize("fbank", w) for w in waves]
     longest = max(len(f) for f in frames)
-    feats = np.stack([tile_to(f, longest) for f in frames])
+    feats = np.stack([np.resize(f, (longest,) + f.shape[1:]) for f in frames])
     mask = np.stack([np.arange(longest) < len(f) for f in frames]).astype(np.float64)
     assert feats.dtype == np.float64
     got = batch_forward(net, samples)

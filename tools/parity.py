@@ -1,10 +1,13 @@
-"""Print sha256 prefixes of every output of four short training runs.
+"""Print sha256 prefixes of the synthesized corpus, two feature dumps and every output of four short training runs.
 
     python tools/parity.py
 
-Pins BLAS to one thread, synthesizes corpus seed 11 (16 speakers x 2
-utterances) and trains 3 epochs at the README quick-start widths for each
-config in CONFIGS. For each run it hashes train_log.csv, the checkpoint
+Pins BLAS to one thread and synthesizes corpus seed 11 (16 speakers x 2
+utterances). A first line hashes that corpus (the relative path and bytes of
+every file `synth` wrote, in sorted path order) and the `features --kind
+fbank` and `--kind mfcc` CSVs of its first training WAV. Then it trains 3
+epochs at the README quick-start widths for each config in CONFIGS. For each
+run it hashes train_log.csv, the checkpoint
 bytes, what loading the checkpoint gives (its tensors, norm stats and best
 epoch, so a change to the stored config text alone still shows the state
 unchanged), val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
@@ -107,9 +110,16 @@ def grad_digest(ck, records):
 def parity(work: Path):
     corpus = work / "corpus"
     run_cli("synth", "--out", corpus, "--speakers", 16, "--utts", 2, "--seed", 11)
+    files = sorted(f for f in corpus.rglob("*") if f.is_file())
+    corpus_hash = digest(b"".join(f.relative_to(corpus).as_posix().encode() + f.read_bytes() for f in files))
     records = scan_corpus(corpus)
     test_records = [r for r in records if r.split == "test"]
     batch_records = [r for r in records if r.split == "train"][:16]
+    dumps = []
+    for kind in ("fbank", "mfcc"):
+        run_cli("features", "--input", batch_records[0].utterance_path, "--kind", kind, "--out", work / f"{kind}.csv")
+        dumps.append((work / f"{kind}.csv").read_bytes())
+    print(f"corpus={corpus_hash} features={digest(b''.join(dumps))}")
     for name, extra in CONFIGS.items():
         out = work / name
         cfg = work / f"{name}.cfg"
