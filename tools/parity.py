@@ -1,4 +1,4 @@
-"""Print sha256 prefixes of the synthesized corpus, two feature dumps and every output of four short training runs.
+"""Print sha256 prefixes of a synthesized corpus, its features and every output of four training runs.
 
     python tools/parity.py
 
@@ -7,15 +7,15 @@ utterances). A first line hashes that corpus (the relative path and bytes of
 every file `synth` wrote, in sorted path order) and the `features --kind
 fbank` and `--kind mfcc` CSVs of its first training WAV. Then it trains 3
 epochs at the README quick-start widths for each config in CONFIGS. For each
-run it hashes train_log.csv, the checkpoint
-bytes, what loading the checkpoint gives (its tensors, norm stats and best
-epoch, so a change to the stored config text alone still shows the state
-unchanged), val_report.csv, the test-split `evaluate` CSV, the `analyze-phones`
-table CSV, the text that `train`, `evaluate` and `analyze-phones` print, the
-`predict_records` arrays of the test split and, as a direct check of the
-autodiff tape, every parameter's `.grad` after one recorded training batch
-of the restored model (the first 16 train records, with dropout, and with
-mixup where the config enables it).
+run it hashes train_log.csv, the checkpoint bytes, what loading the
+checkpoint gives (its tensors, norm stats and best epoch, so a change to the
+stored config text alone still shows the state unchanged), val_report.csv,
+the test-split `evaluate` CSV, the `analyze-phones` table CSV, the text that
+`train`, `evaluate` and `analyze-phones` print, the `predict_records` arrays
+of the test split and, as a direct check of the autodiff tape, every
+parameter's `.grad` after one recorded training batch of the restored model
+(the first 16 train records, with dropout, and with mixup where the config
+enables it).
 
 Two checkouts that print the same lines produce bitwise-equal outputs. The
 hashes depend on the BLAS build and the platform, so compare runs on one
