@@ -10,7 +10,6 @@ import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct as _dct
 
 from .audio import SAMPLE_RATE, Waveform
 from .errors import LengthError
@@ -85,6 +84,21 @@ def mel_filterbank(n_mels=N_MELS, nfft=NFFT, sample_rate=SAMPLE_RATE):
     return weights
 
 
+@functools.cache
+def _dct_matrix():
+    """The orthonormal DCT-II's first N_CEPS basis vectors as an (N_MELS, N_CEPS) matrix.
+
+    A row of log-mel energies times it gives the row's cepstra. Built once
+    and shared between calls, so read-only.
+    """
+    n = np.arange(N_MELS)[:, None]
+    k = np.arange(N_CEPS)[None, :]
+    basis = np.cos(np.pi * (2.0 * n + 1.0) * k / (2.0 * N_MELS)) * np.sqrt(2.0 / N_MELS)
+    basis[:, 0] /= np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
 def _log_mel(w: Waveform):
     frames = frame_signal(Waveform(pre_emphasis(w.samples), w.sample_rate))
     power = np.abs(np.fft.rfft(frames, NFFT, axis=1)) ** 2
@@ -120,7 +134,7 @@ def fbank(w: Waveform) -> np.ndarray:
 
 def mfcc(w: Waveform) -> np.ndarray:
     """16 DCT-II (ortho) cepstra of the log-mel energies plus deltas (T x 48)."""
-    return _with_deltas(_dct(_log_mel(w), type=2, axis=1, norm="ortho")[:, :N_CEPS])
+    return _with_deltas(_log_mel(w) @ _dct_matrix())
 
 
 def cmvn(frames: np.ndarray) -> np.ndarray:

@@ -363,33 +363,32 @@ def gelu(x):
     float32 result is within 2e-6 of the exact GELU on [-8, 8], and exactly
     0 for x <= -6 and exactly x for x >= 6. In float64 the clipped tail
     leaves an error of about 2.5e-8 * |x| beyond |x| = 4 * sqrt(2). The vjp
-    is the closed form g * (Phi(x) + x * phi(x)) with the exact normal pdf
-    phi. Without a tape Phi is computed into the output and not kept.
+    is g * (Phi(x) + x * phi(x)) with the exact normal pdf phi; a recorded
+    call computes that derivative in its forward and keeps it instead of x.
+    Without a tape Phi is computed into the output and not kept.
     """
     x = _as_tensor(x)
     shape = x.shape
     xf = np.ascontiguousarray(x.data).reshape(-1)
     n = xf.size
     data = np.empty_like(xf)
-    cdf = np.empty_like(xf) if _will_record((x,)) else data
+    record = _will_record((x,))
+    dydx = np.empty_like(xf) if record else data
     z2, p, q = (np.empty(min(n, _BLOCK), dtype=xf.dtype) for _ in range(3))
     for s in _blocks(n):
         m = s.stop - s.start
-        _normal_cdf(xf[s], cdf[s], z2[:m], p[:m], q[:m])
-        np.multiply(xf[s], cdf[s], out=data[s])
+        cdf = _normal_cdf(xf[s], dydx[s], z2[:m], p[:m], q[:m])
+        np.multiply(xf[s], cdf, out=data[s])
+        if record:  # cdf += x * phi(x)
+            pdf = np.multiply(xf[s], xf[s], out=z2[:m])
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= _INV_SQRT2PI
+            pdf *= xf[s]
+            cdf += pdf
 
     def vjp(g):
-        gf = np.ascontiguousarray(g).reshape(-1)
-        gx = np.empty_like(xf)
-        for s in _blocks(n):
-            out = np.multiply(xf[s], xf[s], out=gx[s])
-            out *= -0.5
-            np.exp(out, out=out)
-            out *= _INV_SQRT2PI
-            out *= xf[s]
-            out += cdf[s]
-            out *= gf[s]
-        return (gx.reshape(shape),)
+        return (np.multiply(dydx, np.ascontiguousarray(g).reshape(-1)).reshape(shape),)
 
     return _make(data.reshape(shape), (x,), vjp)
 

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.fft import dct as scipy_dct
 
 from moe_profiler.audio import Waveform
 from moe_profiler.dsp import (
+    _dct_matrix,
+    _log_mel,
     cmvn,
     delta,
     fbank,
@@ -85,11 +92,17 @@ class TestMfcc:
 
     def test_dct_of_constant_hits_c0_only(self):
         v = np.full(80, 3.3)
-        out = scipy_dct(v, type=2, norm="ortho")
+        out = v @ _dct_matrix()
         assert abs(out[0]) > 1.0
         assert np.allclose(out[1:], 0.0, atol=1e-12)
         brute = brute_dct2_ortho(v)
         assert np.allclose(brute[1:], 0.0, atol=1e-10)
+
+    def test_statics_match_scipy_dct(self, rng):
+        for n in (400, 7700, 48000):
+            w = wave(rng.uniform(-0.5, 0.5, n))
+            want = scipy_dct(_log_mel(w), type=2, axis=1, norm="ortho")[:, :16]
+            assert np.abs(mfcc(w)[:, :16] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_brute_force_dct_oracle(self):
         w = wave(tone_wave(700.0, seconds=0.2, amp=0.5))
@@ -155,6 +168,41 @@ def test_mel_filterbank_built_once_and_read_only():
         mel[0, 0] = 1.0
 
 
+def test_dct_matrix_built_once_and_read_only():
+    basis = _dct_matrix()
+    assert _dct_matrix() is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+
+
+def test_dct_matrix_columns_are_orthonormal_dct2_basis_vectors():
+    basis = _dct_matrix()
+    assert basis.shape == (80, 16)
+    assert np.abs(basis.T @ basis - np.eye(16)).max() <= 1e-14
+    # row n of the matrix holds the coefficients of the unit vector e_n
+    brute = np.stack([brute_dct2_ortho(e)[:16] for e in np.eye(80)])
+    assert np.allclose(basis, brute, rtol=1e-12, atol=1e-12)
+
+
+def test_mfcc_loads_no_scipy():
+    """A CLI process that computes MFCCs imports numpy only, no scipy module."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import moe_profiler.cli\n"
+        "from moe_profiler.audio import Waveform\n"
+        "from moe_profiler.pipeline import featurize\n"
+        "t = np.arange(4000) / 16000\n"
+        "assert featurize('mfcc', Waveform(0.4 * np.sin(2 * np.pi * 440 * t), 16000)).shape == (23, 48)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_features_pure_function():
     w = wave(tone_wave(640.0, 0.2))
     assert np.array_equal(fbank(w), fbank(w))
@@ -162,7 +210,10 @@ def test_features_pure_function():
 
 
 def _frozen_features(kind, w):
-    """fbank/mfcc + CMVN as first written: gather-index framing, np.pad deltas, out-of-place floor and CMVN."""
+    """fbank/mfcc + CMVN as first written: gather-index framing, np.pad deltas, out-of-place floor and CMVN.
+
+    The mfcc statics are the log-mel rows times the DCT-II matrix built here from its cosine definition.
+    """
     x = np.empty_like(w.samples)
     x[0] = w.samples[0]
     x[1:] = w.samples[1:] - 0.97 * w.samples[:-1]
@@ -172,7 +223,10 @@ def _frozen_features(kind, w):
     power = np.abs(np.fft.rfft(frames, 512, axis=1)) ** 2
     static = np.log(np.maximum(power @ mel_filterbank(80, 512, 16000).T, 1e-10))
     if kind == "mfcc":
-        static = scipy_dct(static, type=2, axis=1, norm="ortho")[:, :16]
+        n, k = np.arange(80)[:, None], np.arange(16)[None, :]
+        dct2 = np.cos(np.pi * (2.0 * n + 1.0) * k / (2.0 * 80)) * np.sqrt(2.0 / 80)
+        dct2[:, 0] /= np.sqrt(2.0)
+        static = static @ dct2
 
     def old_delta(f):
         p = np.pad(f, ((2, 2), (0, 0)), mode="edge")

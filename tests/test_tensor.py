@@ -314,6 +314,11 @@ class TestTapeHoldsWhatVjpsRead:
             lambda q, k: T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
             lambda s, q, k: T.softmax_rows(s, 0.5, np.array([0.0, 0.0, 0.0, 0.0, -np.inf], dtype=np.float32)),
         ),
+        "layer_norm_under_gelu": (
+            [(2, 30, 4), (4,), (4,)],
+            lambda x, gain, bias: T.layer_norm(x, gain, bias),
+            lambda y, x, gain, bias: T.gelu(y),
+        ),
         "matmul_under_bias_add": (
             [(3, 6, 4), (4, 5), (5,)],
             lambda x, w, b: T.matmul(x, w),
@@ -329,7 +334,7 @@ class TestTapeHoldsWhatVjpsRead:
         for keep in (True, False):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             y = inner(*leaves)
-            data = weakref.ref(y.data)
+            data = weakref.ref(y.data if y.data.base is None else y.data.base)  # the array owning the memory
             out = outer(y, *leaves)
             if not keep:
                 del y  # the graph stays recorded, through out
@@ -371,6 +376,16 @@ class TestGelu:
         h = 1e-6
         fd = (T.gelu(Tensor(x + h)).data - T.gelu(Tensor(x - h)).data) / (2.0 * h)
         assert np.abs(fd - t.grad).max() <= 1e-5
+
+    def test_vjp_is_the_closed_form_bitwise(self, rng):
+        x = rng.normal(scale=3.0, size=(3, 700)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        T.sum_(T.mul(T.gelu(xt), Tensor(g))).backward()
+        # g * (Phi(x) + x * phi(x)): Phi as the forward computes it, then one float32 op at a time
+        cdf = T._normal_cdf(x, *(np.empty_like(x) for _ in range(4)))
+        pdf = np.exp(x * x * -0.5) * T._INV_SQRT2PI
+        assert same_bytes(xt.grad, g * (cdf + x * pdf))
 
     def test_float32_stays_float32_through_backward(self, rng):
         x = Tensor(rng.normal(size=(3, 50, 4)).astype(np.float32), requires_grad=True)

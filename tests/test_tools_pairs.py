@@ -47,7 +47,8 @@ def test_each_workloads_pairs_alternate_which_side_runs_first(workloads):
     assert [(wl, s, order) for wl, s, trace, order in plan if trace] == [(w, 3, pairs.SIDES) for w in workloads]
 
 
-def test_tool_line_records_the_work_directory_as_dir():
+def test_tool_line_records_the_work_directory_as_dir(monkeypatch):
+    monkeypatch.chdir(pairs.REPO)
     argv = ["p1", "c2", "--seeds", "1-2", "--out", "BENCH_x.json", "--work", "/abs/scratch", "--traced-seed", "3"]
     assert pairs.tool_line(argv) == (
         "python tools/pairs.py p1 c2 --seeds 1-2 --out BENCH_x.json --work DIR --traced-seed 3"
@@ -56,6 +57,13 @@ def test_tool_line_records_the_work_directory_as_dir():
     assert pairs.tool_line(["p1", "c2", "--wor", "/abs/scratch"]) == "python tools/pairs.py p1 c2 --wor DIR"
     plain = ["p1", "c2", "--seeds", "1,5", "--out", "BENCH_x.json", "--what", "a change"]
     assert pairs.tool_line(plain) == "python tools/pairs.py " + " ".join(plain)
+    # --out: relative to the repository root inside it, else OUT/<file name>
+    inside = str(pairs.REPO / "perfbench" / ".." / "BENCH_x.json")
+    assert pairs.tool_line(["p1", "c2", "--out", inside]) == "python tools/pairs.py p1 c2 --out BENCH_x.json"
+    outside = str(pairs.REPO.parent / "elsewhere" / "BENCH_x.json")
+    assert pairs.tool_line(["p1", "c2", f"--out={outside}"]) == "python tools/pairs.py p1 c2 --out=OUT/BENCH_x.json"
+    assert pairs.tool_line(["p1", "c2", "--ou", outside]) == "python tools/pairs.py p1 c2 --ou OUT/BENCH_x.json"
+    assert pairs.tool_line(["p1", "c2", "--ou=perfbench/x.json"]) == "python tools/pairs.py p1 c2 --ou=perfbench/x.json"
 
 
 def _run(side, seed, value, failed=0, returncode=0):

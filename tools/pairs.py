@@ -168,16 +168,28 @@ def traced_summary(runs):
     return out
 
 
+def _recorded_out(value):
+    """--out relative to the repository root if it lies inside it, else OUT/<file name>."""
+    path = Path(value).resolve()
+    return path.relative_to(REPO).as_posix() if REPO in path.parents else f"OUT/{path.name}"
+
+
+# per option: the shortest prefix argparse takes for it, and what tool_line
+# records for its value; no figure depends on the --work directory
+_RECORDED = {"--work": ("--wo", lambda value: "DIR"), "--out": ("--o", _recorded_out)}
+
+
 def tool_line(argv):
-    """The command line the BENCH file records, the --work directory as DIR: no figure depends on it."""
+    """The command line the BENCH file records, with no machine path in it."""
     words = list(argv)
     for i, word in enumerate(words):
-        opt, eq, _ = word.partition("=")
-        if len(opt) > 3 and "--work".startswith(opt):  # argparse takes any unambiguous prefix
-            if eq:
-                words[i] = f"{opt}=DIR"
-            elif i + 1 < len(words):
-                words[i + 1] = "DIR"
+        opt, eq, value = word.partition("=")
+        for name, (shortest, record) in _RECORDED.items():
+            if opt.startswith(shortest) and name.startswith(opt):
+                if eq:
+                    words[i] = f"{opt}={record(value)}"
+                elif i + 1 < len(words):
+                    words[i + 1] = record(words[i + 1])
     return "python tools/pairs.py " + " ".join(words)
 
 
