@@ -16,6 +16,9 @@ first, as ``uncertainty_loss`` does. Leaf gradients accumulate into
 ``no_grad()`` no tape is recorded, so a forward-only pass frees each
 intermediate array as soon as the next op has used it.
 
+``sub``, ``neg`` and ``mean_`` are compositions that record ``add``, ``mul``
+and ``sum_`` nodes; every other op is a primitive with its own vjp.
+
 float32 is the working precision. Constructing a tensor from a float64 array
 keeps float64; the gradient-check tests rely on this to run the whole stack
 in double precision. A gradient keeps the shape and dtype of the tensor it
@@ -209,13 +212,7 @@ def add(a, b):
 def sub(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
-    data = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _sum_to_shape(g, sa), _sum_to_shape(-g, sb)
-
-    return _make(data, (a, b), vjp)
+    return add(a, neg(b))
 
 
 def mul(a, b):
@@ -231,12 +228,7 @@ def mul(a, b):
 
 
 def neg(x):
-    x = _as_tensor(x)
-
-    def vjp(g):
-        return (-g,)
-
-    return _make(-x.data, (x,), vjp)
+    return mul(x, -1.0)
 
 
 def exp(x):

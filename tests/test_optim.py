@@ -14,7 +14,7 @@ def test_single_step_from_zero():
     p.grad = np.ones(1)
     opt.step()
     assert abs(p.data[0] + 1e-3) < 1e-8
-    assert opt.state.step == 1
+    assert opt.steps == 1
 
 
 def test_zero_grad_leaves_params(rng):
@@ -62,3 +62,20 @@ def test_frozen_params_excluded():
     opt = Adam({"p": p}, lr=0.1)
     assert "p" not in opt.params
 
+
+
+def test_steps_and_moments_follow_the_bias_corrected_recurrence_bitwise(rng):
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+    p = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+    opt = Adam({"p": p}, lr=lr)
+    want_p, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    for k in range(1, 8):
+        g = rng.normal(size=(4, 3)).astype(np.float32)
+        p.grad = g
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        want_p -= lr * (m / (1.0 - b1**k)) / (np.sqrt(v / (1.0 - b2**k)) + eps)
+        assert opt.steps == k
+        for got, want in ((opt.m["p"], m), (opt.v["p"], v), (p.data, want_p)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

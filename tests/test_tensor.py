@@ -26,6 +26,60 @@ def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
+class TestDerivedOps:
+    """sub and neg record add and mul nodes, and give the bits of their direct formulas."""
+
+    # (a, b) shapes: equal, b broadcast from (3,), (1, 3), (4, 1) and 0-d, and a broadcast from (3,)
+    SHAPES = [((4, 3), (4, 3)), ((4, 3), (3,)), ((4, 3), (1, 3)), ((4, 3), (4, 1)), ((4, 3), ()), ((3,), (4, 3))]
+
+    @staticmethod
+    def signed(rng, shape, dtype):
+        """Normal draws with about a third of the entries set to +0.0 or -0.0."""
+        x = rng.normal(size=shape)
+        pick = rng.integers(0, 6, size=shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_sub_matches_direct_formula_bitwise(self, shapes, dtype, rng):
+        (sa, sb), ref_shape = shapes, np.broadcast_shapes(*shapes)
+        for _ in range(20):
+            ad, bd, g = (self.signed(rng, s, dtype) for s in (sa, sb, ref_shape))
+            a, b = Tensor(ad, requires_grad=True), Tensor(bd, requires_grad=True)
+            y = T.sub(a, b)
+            T.sum_(T.mul(y, Tensor(g))).backward()
+            assert same_bytes(y.data, ad - bd)
+            assert same_bytes(a.grad, T._sum_to_shape(g, sa))
+            want = T._sum_to_shape(-g, sb)
+            if sb == ref_shape:
+                assert same_bytes(b.grad, want)
+            else:
+                # the formula sums -g, the composition negates the sum of g: where the
+                # terms cancel to exactly zero the first reads +0.0 and the second -0.0
+                assert np.array_equal(b.grad, want) and b.grad.dtype == want.dtype
+                assert same_bytes(b.grad[want != 0], want[want != 0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_neg_matches_direct_formula_bitwise(self, dtype, rng):
+        for shape in [(), (7,), (4, 3)]:
+            xd, g = self.signed(rng, shape, dtype), self.signed(rng, shape, dtype)
+            x = Tensor(xd, requires_grad=True)
+            y = T.neg(x)
+            T.sum_(T.mul(y, Tensor(g))).backward()
+            assert same_bytes(y.data, -xd)
+            assert same_bytes(x.grad, -g)
+
+    def test_sub_with_a_python_float_keeps_the_tensor_dtype(self, rng):
+        td = rng.normal(size=(5,)).astype(np.float32)
+        half = np.float32(0.5)
+        for t_first in (True, False):
+            t = Tensor(td, requires_grad=True)
+            out = T.sub(t, 0.5) if t_first else T.sub(0.5, t)
+            T.sum_(out).backward()
+            assert same_bytes(out.data, td - half if t_first else half - td)
+            assert same_bytes(t.grad, np.full(5, 1.0 if t_first else -1.0, dtype=np.float32))
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
