@@ -63,7 +63,6 @@ def test_frozen_params_excluded():
     assert "p" not in opt.params
 
 
-
 def test_steps_and_moments_follow_the_bias_corrected_recurrence_bitwise(rng):
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
     p = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
