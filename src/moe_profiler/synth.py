@@ -26,6 +26,8 @@ MALE_HEIGHT_IN = (64, 78)
 FEMALE_HEIGHT_IN = (58, 72)
 VOWEL_SYMBOLS = ("iy", "aa", "eh", "ow", "uw", "ae", "ih")
 TEST_FRACTION = 0.25
+MAX_SPEAKERS = 26**3  # three-letter speaker IDs
+_BLOCK = 64  # samples per exact cos/sin evaluation of a tone's base phasor
 
 
 def _speaker_letters(i):
@@ -37,12 +39,27 @@ def _speaker_letters(i):
 
 
 def _tone(f0, beta, n_harm, peak, length, start_sample):
+    """Sum of k**-beta * sin(2 pi k f0 t) over harmonics k, faded and scaled to peak.
+
+    Harmonic k's phasor is the base phasor e^{i 2 pi f0 t} raised to the k-th
+    power by repeated multiplication. The base is exact at the first sample
+    of every _BLOCK-sample block and rotated inside the block by a table, so
+    cos/sin run once per block instead of once per harmonic per sample. It
+    differs from the per-harmonic np.sin sum only by float64 rounding of the
+    phase, which both carry (a few 1e-12 at the corpus's phases).
+    """
     # phase continues across segments (t is global) so the utterance is a
     # gated single harmonic source and segments cannot cancel at f0
-    t = (start_sample + np.arange(length)) / SAMPLE_RATE
-    x = np.zeros(length)
-    for k in range(1, n_harm + 1):
-        x += k ** (-beta) * np.sin(2.0 * np.pi * k * f0 * t)
+    w = 2.0 * np.pi * f0 / SAMPLE_RATE
+    block_start = w * (start_sample + _BLOCK * np.arange(-(-length // _BLOCK)))
+    in_block = w * np.arange(_BLOCK)
+    base = np.outer(np.cos(block_start) + 1j * np.sin(block_start),
+                    np.cos(in_block) + 1j * np.sin(in_block)).ravel()[:length]
+    x = base.imag.copy()  # k = 1
+    z = base.copy()
+    for k in range(2, n_harm + 1):
+        z *= base
+        x += k ** (-beta) * z.imag
     fade = min(80, length // 4)
     if fade > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
@@ -84,6 +101,8 @@ def synth_corpus(out_dir, seed, n_speakers, utt_per_speaker) -> Path:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_speakers < 2:
         raise ConfigError(f"need at least 2 speakers (both genders), got {n_speakers}")
+    if n_speakers > MAX_SPEAKERS:
+        raise ConfigError(f"at most {MAX_SPEAKERS} speakers have distinct IDs, got {n_speakers}")
     if utt_per_speaker < 1:
         raise ConfigError(f"utt_per_speaker must be >= 1, got {utt_per_speaker}")
     out_dir = Path(out_dir)

@@ -79,6 +79,11 @@ class TestSynthCmd:
     def test_single_speaker_exit_1(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--speakers", 1, "--utts", 1) == 1
 
+    def test_speakers_past_three_letter_ids_exit_1(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path / "x", "--speakers", 17_577, "--utts", 1) == 1
+        assert "17577" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_nonempty_dir_needs_force(self, tmp_path):
         out = tmp_path / "c"
         run("synth", "--out", out, "--speakers", 2, "--utts", 1, "--seed", 1)
